@@ -74,7 +74,7 @@ from .sweep import (
     run_sweep,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "AdaptiveSearcher",

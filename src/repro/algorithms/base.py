@@ -24,7 +24,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from ..core.geometry import sample_uniform_ball
+from ..core.geometry import ball_cells_from_index, ball_size, sample_uniform_ball
 from ..core.spiral import spiral_steps
 from ..core.walks import manhattan_path
 
@@ -45,6 +45,14 @@ class ExcursionFamily(ABC):
     ``sample(rng, size)`` returns integer arrays ``(ux, uy, budget)`` of the
     given size: the excursion walks from the source to ``(ux, uy)``, spirals
     for ``budget`` steps, and walks back.
+
+    Sampling splits into :meth:`draw` (every RNG call, in order) and
+    :meth:`resolve` (an RNG-free, elementwise map from the draws to
+    ``(ux, uy, budget)``).  ``resolve`` is a static method of the family
+    *type*, so the stacked excursion engine can concatenate the draws of
+    many families of one type and resolve them in a single pass; for any
+    RNG state, ``resolve(draw(rng, size))`` equals ``sample(rng, size)``
+    bit for bit.  The defaults treat ``sample``'s output as the draws.
     """
 
     @abstractmethod
@@ -52,6 +60,20 @@ class ExcursionFamily(ABC):
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw ``size`` independent excursions."""
+
+    def draw(
+        self, rng: np.random.Generator, size: int
+    ) -> Tuple[np.ndarray, ...]:
+        """The RNG part of :meth:`sample`: equal-length arrays of raw draws."""
+        return self.sample(rng, size)
+
+    @staticmethod
+    def resolve(
+        draws: Tuple[np.ndarray, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RNG-free map from (possibly concatenated) draws to excursions."""
+        ux, uy, budgets = draws
+        return ux, uy, budgets
 
     def sample_one(self, rng: np.random.Generator) -> Tuple[Point, int]:
         """Draw a single excursion as ``((x, y), budget)``."""
@@ -75,6 +97,21 @@ class UniformBallFamily(ExcursionFamily):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         ux, uy = sample_uniform_ball(rng, self.radius, size)
         budgets = np.full(size, self.budget, dtype=np.int64)
+        return ux, uy, budgets
+
+    def draw(
+        self, rng: np.random.Generator, size: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ball indices (the only RNG call of :meth:`sample`) and budgets."""
+        index = rng.integers(0, ball_size(self.radius), size=size, dtype=np.int64)
+        return index, np.full(size, self.budget, dtype=np.int64)
+
+    @staticmethod
+    def resolve(
+        draws: Tuple[np.ndarray, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        index, budgets = draws
+        ux, uy = ball_cells_from_index(index)
         return ux, uy, budgets
 
     def __repr__(self) -> str:

@@ -73,17 +73,30 @@ class PowerLawRingFamily(ExcursionFamily):
     def sample(
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.resolve(self.draw(rng, size))
+
+    def draw(
+        self, rng: np.random.Generator, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ring radii, ring positions and budgets, before the ring lookup."""
         radii = stats.zipf.rvs(1.0 + self.delta, size=size, random_state=rng)
         # Clip the astronomical tail (P < 2^-40 per draw for delta >= 0.1):
         # a radius beyond 2^40 cannot hit anything within any budget anyway,
         # and 4 * radius must stay well inside int64 for the ring draw.
         radii = np.minimum(np.asarray(radii, dtype=np.int64), 2**40)
         m = (rng.random(size) * 4 * radii).astype(np.int64)
-        ux, uy = ring_cells_from_index_array(radii, m)
         budgets = np.minimum(
             np.ceil(radii.astype(np.float64) ** (2.0 + self.delta)),
             float(self.budget_cap),
         ).astype(np.int64)
+        return radii, m, budgets
+
+    @staticmethod
+    def resolve(
+        draws: Tuple[np.ndarray, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        radii, m, budgets = draws
+        ux, uy = ring_cells_from_index_array(radii, m)
         return ux, uy, budgets
 
     def __repr__(self) -> str:

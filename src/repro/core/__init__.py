@@ -11,6 +11,7 @@ from .geometry import (
     annulus_cells,
     annulus_size,
     ball_cells,
+    ball_cells_from_index,
     ball_size,
     l1_distance,
     l1_norm,
@@ -43,6 +44,7 @@ __all__ = [
     "annulus_cells",
     "annulus_size",
     "ball_cells",
+    "ball_cells_from_index",
     "ball_size",
     "coverage_radius",
     "diamond_tour",

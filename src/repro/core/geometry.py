@@ -50,6 +50,7 @@ __all__ = [
     "ball_cells",
     "ring_cell_from_index",
     "ring_cells_from_index_array",
+    "ball_cells_from_index",
     "sample_uniform_ball",
     "sample_uniform_ring",
     "annulus_size",
@@ -158,20 +159,17 @@ def annulus_cells(inner: int, outer: int) -> Iterator[Tuple[int, int]]:
         yield from ring_cells(rho)
 
 
-def sample_uniform_ball(
-    rng: np.random.Generator, radius: int, size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` cells uniformly (with replacement) from ``B(radius)``.
+def ball_cells_from_index(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells at indices ``n`` of the ring-by-ring enumeration of ``Z^2``.
 
-    Exact: a uniform integer index in ``[0, |B(radius)|)`` is mapped to its
-    ring by integer inverse-CDF and to a position on the ring.  Returns
-    ``(x, y)`` int64 arrays of length ``size``.
+    Index ``0`` is the centre and indices ``[2ρ² - 2ρ + 1, 2ρ² + 2ρ + 1)``
+    are ring ``ρ`` in counter-clockwise order, so the first
+    ``ball_size(r)`` indices are exactly ``B(r)``.  The map does not
+    depend on any radius, which is what lets the excursion engine run it
+    once over draws concatenated from many balls.  Pure and RNG-free;
+    returns ``(x, y)`` int64 arrays shaped like ``n``.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    total = ball_size(radius)
-    n = rng.integers(0, total, size=size, dtype=np.int64)
-
+    n = np.asarray(n, dtype=np.int64)
     # rho = floor((1 + sqrt(2n - 1)) / 2) with integer fix-up, vectorised.
     with np.errstate(invalid="ignore"):
         rho = ((1 + np.sqrt(np.maximum(2 * n - 1, 0))) // 2).astype(np.int64)
@@ -184,14 +182,30 @@ def sample_uniform_ball(
         rho = np.where(ball_hi <= n, rho + 1, rho)
 
     offset = n - (2 * rho * rho - 2 * rho + 1)
-    x = np.zeros(size, dtype=np.int64)
-    y = np.zeros(size, dtype=np.int64)
+    x = np.zeros(n.shape, dtype=np.int64)
+    y = np.zeros(n.shape, dtype=np.int64)
     on_ring = rho >= 1
     if np.any(on_ring):
         rx, ry = ring_cells_from_index_array(rho[on_ring], offset[on_ring])
         x[on_ring] = rx
         y[on_ring] = ry
     return x, y
+
+
+def sample_uniform_ball(
+    rng: np.random.Generator, radius: int, size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``size`` cells uniformly (with replacement) from ``B(radius)``.
+
+    Exact: a uniform integer index in ``[0, |B(radius)|)`` is mapped to its
+    ring by integer inverse-CDF and to a position on the ring
+    (:func:`ball_cells_from_index`).  Returns ``(x, y)`` int64 arrays of
+    length ``size``.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    n = rng.integers(0, ball_size(radius), size=size, dtype=np.int64)
+    return ball_cells_from_index(n)
 
 
 def sample_uniform_ring(

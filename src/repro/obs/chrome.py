@@ -25,7 +25,11 @@ def _label(data: Mapping[str, object]) -> str:
         distances = data.get("distances") or []
         k = data.get("k")
         return f"chunk k={k} D={','.join(str(d) for d in distances)}"
-    name = f"D={data.get('distance')} k={data.get('k')} b{data.get('block')}"
+    if kind == "pack":
+        blocks = data.get("blocks") or []
+        name = f"pack x{len(blocks)}"
+    else:
+        name = f"D={data.get('distance')} k={data.get('k')} b{data.get('block')}"
     if data.get("speculative"):
         name += " (spec)"
     return name
@@ -40,7 +44,7 @@ def to_chrome(records: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     )
 
     def us(ts: object) -> float:
-        return (float(ts) - t0) * _US  # type: ignore[arg-type]
+        return (float(ts) - t0) * _US
 
     events: List[Dict[str, object]] = []
     # Pair block spans by ticket; starts without an end (a crashed or
@@ -100,8 +104,8 @@ def to_chrome(records: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     spans.sort(key=lambda span: (span["ts"], span["dur"]))
     lanes: List[float] = []
     for span in spans:
-        start = float(span["ts"])  # type: ignore[arg-type]
-        end = start + float(span["dur"])  # type: ignore[arg-type]
+        start = float(span["ts"])
+        end = start + float(span["dur"])
         for lane, free_at in enumerate(lanes):
             if free_at <= start:
                 lanes[lane] = end
@@ -112,5 +116,5 @@ def to_chrome(records: Sequence[Mapping[str, object]]) -> Dict[str, object]:
             span["tid"] = len(lanes)
         events.append(span)
 
-    events.sort(key=lambda event: float(event["ts"]))  # type: ignore[arg-type]
+    events.sort(key=lambda event: float(event["ts"]))
     return {"traceEvents": events, "displayTimeUnit": "ms"}

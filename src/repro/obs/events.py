@@ -50,17 +50,19 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         "algorithm", "spec", "dur_s", "cells", "total_trials",
         "from_cache",
     )),
-    # One executor task: an adaptive block or a fixed-path chunk.  The
-    # span runs submit -> collect in the driver (queue + transport +
-    # execution); ``exec_s`` on the paired executor.complete isolates
-    # pure execution time.  ``ticket`` is the pairing key.
+    # One executor task: a pack of adaptive blocks (parallel lists
+    # ``distances``/``ks``/``blocks``), a fixed-path chunk, or a whole
+    # wall-budget cell.  The span runs submit -> collect in the parent
+    # process (queue + transport + execution); ``exec_s`` on the paired
+    # executor.complete isolates pure execution time.  ``ticket`` is the
+    # pairing key.
     "cell.block.start": ("span.start", (
         "ticket", "kind", "distance", "k", "block", "distances",
-        "speculative", "steal",
+        "ks", "blocks", "speculative", "steal",
     )),
     "cell.block.end": ("span.end", (
         "ticket", "kind", "distance", "k", "block", "distances",
-        "dur_s", "discarded",
+        "ks", "blocks", "dur_s", "discarded",
     )),
     # Adaptive stopping decisions and per-cell completion.
     "cell.stop": ("counter", (

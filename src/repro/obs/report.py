@@ -128,12 +128,17 @@ class TraceReport:
         return "\n".join(lines)
 
 
-def _cell_label(data: Mapping[str, object]) -> str:
-    if data.get("kind") == "chunk":
+def _span_labels(data: Mapping[str, object]) -> List[str]:
+    """The cells one executor-task span covers (one label per block)."""
+    kind = data.get("kind")
+    if kind == "chunk":
         distances = data.get("distances") or []
         joined = ",".join(str(d) for d in distances)
-        return f"k={data.get('k')} D={joined} (chunk)"
-    return f"D={data.get('distance')} k={data.get('k')}"
+        return [f"k={data.get('k')} D={joined} (chunk)"]
+    if kind == "pack" and data.get("distances"):
+        pairs = zip(data.get("distances") or [], data.get("ks") or [])
+        return [f"D={d} k={k}" for d, k in pairs]
+    return [f"D={data.get('distance')} k={data.get('k')}"]
 
 
 def build_report(
@@ -182,11 +187,14 @@ def build_report(
             dur = data.get("dur_s")
             if opened is None or not isinstance(dur, (int, float)):
                 continue
-            label = _cell_label(opened[1])
-            entry = cell_totals.setdefault(label, [0.0, 0.0, 0.0])
-            entry[0] += float(dur)
-            entry[1] += 1
-            entry[2] += exec_by_ticket.pop(data.get("ticket"), 0.0)
+            labels = _span_labels(opened[1])
+            exec_s = exec_by_ticket.pop(data.get("ticket"), 0.0)
+            for label in labels:
+                # A pack's time splits evenly across its blocks.
+                entry = cell_totals.setdefault(label, [0.0, 0.0, 0.0])
+                entry[0] += float(dur) / len(labels)
+                entry[1] += 1
+                entry[2] += exec_s / len(labels)
         elif name == "executor.complete":
             exec_s = data.get("exec_s")
             if isinstance(exec_s, (int, float)):

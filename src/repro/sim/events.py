@@ -17,6 +17,11 @@ This is exact in distribution — validated against the step engine by
 ``tests/test_engine_vs_events.py`` — and several orders of magnitude
 faster, which is what makes the paper-scale parameter sweeps feasible.
 
+:func:`simulate_find_times_stacked` runs many independent static-world
+simulations (the sweep runner's trial blocks) as one such pass per phase;
+each task's output is bitwise equal to its own :func:`simulate_find_times`
+call, whose static path is the kernel's one-task case.
+
 :func:`excursion_find_time` is the scalar single-agent twin used for exact
 replay tests against the step engine: given the same RNG it consumes
 random numbers in exactly the same order as
@@ -27,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..algorithms.base import ExcursionAlgorithm
+from ..algorithms.base import ExcursionAlgorithm, ExcursionFamily
 from ..core.spiral import (
     SAFE_OFFSET,
     spiral_hit_time,
@@ -54,7 +60,9 @@ from .world import (
 __all__ = [
     "simulate_find_times",
     "simulate_find_times_block",
+    "simulate_find_times_stacked",
     "simulate_find_times_batch",
+    "StackedTask",
     "excursion_find_time",
     "expected_find_time",
     "find_time_statistics",
@@ -324,8 +332,9 @@ def simulate_find_times(
 
     ``world_spec`` (:class:`repro.sim.world.WorldSpec`) declares the world
     process.  A ``None`` or all-default spec resolves to ``None`` and the
-    static single-target legacy path below runs *structurally unchanged*
-    (bitwise identical output, enforced by property tests); anything else
+    static single-target path runs: the one-task case of
+    :func:`simulate_find_times_stacked` (bitwise identical output to the
+    pre-world engine, enforced by property tests); anything else
     routes to the dynamic kernel, where ``world`` may also be an
     ``(n_targets, 2)`` array of initial target positions.
     """
@@ -347,92 +356,264 @@ def simulate_find_times(
             start_delays=start_delays,
             scenario=scenario,
         )
-    rng = make_rng(seed)
-    tx, ty = world.treasure
-    scn = resolve_scenario(scenario)
+    return simulate_find_times_stacked(
+        [
+            StackedTask(
+                algorithm, world, k, trials, seed, horizon=horizon,
+                start_delays=start_delays, scenario=scenario,
+            )
+        ],
+        max_phases=max_phases,
+    )[0]
 
-    cum = np.zeros((trials, k), dtype=np.float64)
-    if start_delays is not None:
-        delays = np.asarray(start_delays, dtype=np.float64)
-        if np.any(delays < 0):
-            raise ValueError("start delays must be non-negative")
-        cum = cum + np.broadcast_to(delays, (trials, k))
-    cum, speeds, crash_abs, q = _scenario_state(scn, k, trials, cum, rng)
-    best = np.full(trials, np.inf)
-    cap = np.inf if horizon is None else float(horizon)
 
-    families = algorithm.families()
+def _block_seed(root_seed: SeedLike, distance: int, k: int, block: int) -> int:
+    """Seed of trial block ``block`` of cell ``(distance, k)``."""
+    if block < 0:
+        raise ValueError(f"block index must be >= 0, got {block}")
+    return derive_seed(root_seed, BLOCK_STREAM, int(distance), int(k), int(block))
+
+
+@dataclass(frozen=True, eq=False)
+class StackedTask:
+    """One static-world :func:`simulate_find_times` call of a stacked pass.
+
+    The fields are that function's arguments; :meth:`for_block` builds the
+    task of one sweep block, seeded like :func:`simulate_find_times_block`.
+    That task holds the block's live generator (constructed, and so
+    traced, where ``for_block`` is called), so it runs once.
+    """
+
+    algorithm: ExcursionAlgorithm
+    world: World
+    k: int
+    trials: int
+    seed: SeedLike = None
+    horizon: Optional[float] = None
+    start_delays: Optional[np.ndarray] = None
+    scenario: Optional[ScenarioSpec] = None
+
+    @classmethod
+    def for_block(
+        cls,
+        algorithm: ExcursionAlgorithm,
+        world: World,
+        k: int,
+        trials: int,
+        root_seed: SeedLike,
+        *,
+        distance: int,
+        block: int,
+        horizon: Optional[float] = None,
+        scenario: Optional[ScenarioSpec] = None,
+    ) -> "StackedTask":
+        return cls(
+            algorithm, world, k, trials,
+            make_rng(_block_seed(root_seed, distance, k, block)),
+            horizon=horizon, scenario=scenario,
+        )
+
+
+def _resolve_draws(
+    families: Sequence[ExcursionFamily],
+    draws: Sequence[Tuple[np.ndarray, ...]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve every task's draws: one call over all of them when the
+    family types agree (the sweep case), else one call per task."""
+    resolve = type(families[0]).resolve
+    if all(type(family).resolve is resolve for family in families):
+        return resolve(tuple(np.concatenate(field) for field in zip(*draws)))
+    parts = [type(f).resolve(d) for f, d in zip(families, draws)]
+    ux, uy, budgets = (np.concatenate(field) for field in zip(*parts))
+    return ux, uy, budgets
+
+
+def simulate_find_times_stacked(
+    tasks: Sequence[StackedTask],
+    *,
+    max_phases: int = 1_000_000,
+) -> List[np.ndarray]:
+    """Many independent static-world simulations as one NumPy pass per phase.
+
+    Returns one find-time array per task, each bitwise equal to
+    ``simulate_find_times(task.algorithm, task.world, task.k, task.trials,
+    task.seed, ...)`` run on its own.  The equality holds because every
+    task keeps its own generator and ``families()`` iterator and makes
+    exactly that call's RNG calls in exactly its order — the excursion
+    draw of :meth:`ExcursionFamily.draw`, then the outbound, spiral and
+    return detection coins — while everything without randomness is
+    elementwise and runs once over the union of the live tasks' slots:
+    resolving the draws to start nodes, the outbound/spiral/return hit
+    closed forms, the spiral end positions, and the ``best``/clock
+    updates.  A task leaves the union when none of its slots can improve
+    its result or its excursion stream ends.
+
+    The per-phase Python and NumPy-call overhead is then paid once per
+    phase instead of once per task and phase, which is what dominates
+    small blocks (the adaptive sweep path's 32-128-trial blocks).
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    rngs: List[np.random.Generator] = []
+    streams: List[Iterator[ExcursionFamily]] = []
+    cums, speed_rows, crash_rows, coin_qs = [], [], [], []
+    for task in tasks:
+        if task.k < 1:
+            raise ValueError(f"k must be >= 1, got {task.k}")
+        if task.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {task.trials}")
+        rng = make_rng(task.seed)
+        cum = np.zeros((task.trials, task.k), dtype=np.float64)
+        if task.start_delays is not None:
+            delays = np.asarray(task.start_delays, dtype=np.float64)
+            if np.any(delays < 0):
+                raise ValueError("start delays must be non-negative")
+            cum = cum + np.broadcast_to(delays, (task.trials, task.k))
+        cum, speeds, crash_abs, q = _scenario_state(
+            resolve_scenario(task.scenario), task.k, task.trials, cum, rng
+        )
+        rngs.append(rng)
+        streams.append(task.algorithm.families())
+        cums.append(cum.ravel())
+        speed_rows.append(speeds)
+        crash_rows.append(crash_abs)
+        coin_qs.append(q)
+
+    # Flat per-slot state: task segments are contiguous and row-major
+    # within, so np.flatnonzero(active) lists each task's live slots in
+    # exactly the order np.nonzero gives on its own (trials, k) grid.
+    trials = np.array([task.trials for task in tasks])
+    ks = np.array([task.k for task in tasks])
+    slot_bounds = np.concatenate([[0], np.cumsum(trials * ks)])
+    trial_bounds = np.concatenate([[0], np.cumsum(trials)])
+    cum = np.concatenate(cums)
+    slot_trial = np.repeat(np.arange(trial_bounds[-1]), np.repeat(ks, trials))
+    trial_cap = np.repeat(
+        [np.inf if t.horizon is None else float(t.horizon) for t in tasks],
+        trials,
+    )
+    slot_cap = trial_cap[slot_trial]
+    best = np.full(int(trial_bounds[-1]), np.inf)
+    slot_speed = None
+    if any(row is not None for row in speed_rows):
+        slot_speed = np.concatenate([
+            np.tile(row if row is not None else np.ones(t.k), t.trials)
+            for row, t in zip(speed_rows, tasks)
+        ])
+    slot_crash = None
+    if any(row is not None for row in crash_rows):
+        slot_crash = np.concatenate([
+            row.ravel() if row is not None else np.full(t.trials * t.k, np.inf)
+            for row, t in zip(crash_rows, tasks)
+        ])
+    lossy = any(q is not None for q in coin_qs)
+    treasures = np.array([t.world.treasure for t in tasks], dtype=np.int64)
+
+    running = list(range(len(tasks)))
     for phase_index in itertools.count():
         if phase_index >= max_phases:
             raise RuntimeError(
                 f"simulation exceeded max_phases={max_phases}; "
                 f"pass a horizon or raise the cap"
             )
-        if crash_abs is not None:
+        if slot_crash is not None:
             # Crashed agents never move again; park their clocks at +inf.
-            cum[cum >= crash_abs] = np.inf
-        active = cum < np.minimum(best, cap)[:, None]
-        if not np.any(active):
-            break
-        family = next(families, None)
-        if family is None:
+            cum[cum >= slot_crash] = np.inf
+        active = cum < np.minimum(best[slot_trial], slot_cap)
+        live_counts = np.add.reduceat(active, slot_bounds[:-1], dtype=np.intp)
+
+        # Each task's RNG calls, in its own order: draw, then the coins.
+        live, families, draws, counts, coins = [], [], [], [], []
+        for i in running:
+            count = int(live_counts[i])
+            if not count:
+                continue
+            family = next(streams[i], None)
+            if family is None:
+                # Stream exhausted: the task's agents idle at the source.
+                lo, hi = slot_bounds[i], slot_bounds[i + 1]
+                cum[lo:hi] = np.inf
+                active[lo:hi] = False
+                continue
+            live.append(i)
+            families.append(family)
+            draws.append(family.draw(rngs[i], count))
+            counts.append(count)
+            q = coin_qs[i]
+            if q is not None:
+                coins.append(
+                    tuple(rngs[i].random(count) < q for _ in range(3))
+                )
+            elif lossy:
+                coins.append((np.ones(count, dtype=bool),) * 3)
+        running = live
+        if not running:
             break
 
-        rows, cols = np.nonzero(active)
-        count = rows.size
-        ux, uy, budgets = family.sample(rng, count)
-        start = cum[rows, cols]
+        slots = np.flatnonzero(active)
+        ux, uy, budgets = _resolve_draws(families, draws)
+        tx, ty = np.repeat(treasures[live], counts, axis=0).T
+        out_coin = sp_coin = ret_coin = None
+        if lossy:
+            out_coin, sp_coin, ret_coin = (
+                np.concatenate(column) for column in zip(*coins)
+            )
+        start = cum[slots]
         travel = np.abs(ux) + np.abs(uy)
 
         # Earliest hit within this excursion (inf when the excursion misses).
-        hit_offset = np.full(count, np.inf)
-
         out_mask, out_off = _outbound_hit_offsets(ux, uy, tx, ty)
-        if q is not None:
-            out_mask = out_mask & (rng.random(count) < q)
-        hit_offset[out_mask] = np.minimum(hit_offset[out_mask], out_off[out_mask])
+        if out_coin is not None:
+            out_mask = out_mask & out_coin
+        hit_offset = np.where(out_mask, out_off, np.inf)
 
         spiral_hit = _hit_times(tx - ux, ty - uy)
         sp_mask = spiral_hit <= budgets
-        if q is not None:
-            sp_mask = sp_mask & (rng.random(count) < q)
-        sp_time = travel + spiral_hit
-        hit_offset[sp_mask] = np.minimum(hit_offset[sp_mask], sp_time[sp_mask])
+        if sp_coin is not None:
+            sp_mask = sp_mask & sp_coin
+        np.minimum(
+            hit_offset, np.where(sp_mask, travel + spiral_hit, np.inf),
+            out=hit_offset,
+        )
 
         dx_end, dy_end = spiral_position_array(budgets)
         ex = ux + dx_end
         ey = uy + dy_end
         ret_mask, ret_off = _return_hit_offsets(ex, ey, tx, ty)
-        if q is not None:
-            ret_mask = ret_mask & (rng.random(count) < q)
-        ret_time = travel + budgets + ret_off
-        hit_offset[ret_mask] = np.minimum(hit_offset[ret_mask], ret_time[ret_mask])
+        if ret_coin is not None:
+            ret_mask = ret_mask & ret_coin
+        np.minimum(
+            hit_offset,
+            np.where(ret_mask, travel + budgets + ret_off, np.inf),
+            out=hit_offset,
+        )
 
         # Offsets are step counts; wall-clock conversion divides by speed.
-        if speeds is not None:
-            speed = speeds[cols]
+        speed = slot_speed[slots] if slot_speed is not None else None
+        if speed is not None:
             hit_wall = start + hit_offset / speed
         else:
             hit_wall = start + hit_offset
         found = np.isfinite(hit_offset)
-        if crash_abs is not None:
+        if slot_crash is not None:
             # A hit after the agent's crash time never happens.
-            found &= hit_wall <= crash_abs[rows, cols]
+            found &= hit_wall <= slot_crash[slots]
         if np.any(found):
-            np.minimum.at(best, rows[found], hit_wall[found])
+            np.minimum.at(best, slot_trial[slots[found]], hit_wall[found])
             # Finders stop searching; park their clocks at +inf.
-            cum[rows[found], cols[found]] = np.inf
+            cum[slots[found]] = np.inf
 
         not_found = ~found
         duration = travel + budgets + np.abs(ex) + np.abs(ey)
-        if speeds is not None:
+        if speed is not None:
             duration = duration / speed
-        cum[rows[not_found], cols[not_found]] = (
-            start[not_found] + duration[not_found]
-        )
+        cum[slots[not_found]] = start[not_found] + duration[not_found]
 
-    best[best > cap] = np.inf
-    return best
+    best[best > trial_cap] = np.inf
+    return [
+        best[lo:hi] for lo, hi in zip(trial_bounds[:-1], trial_bounds[1:])
+    ]
 
 
 def simulate_find_times_block(
@@ -451,18 +632,19 @@ def simulate_find_times_block(
 ) -> np.ndarray:
     """One deterministic trial *block* of cell ``(distance, k)``.
 
-    The incremental sweep runner's entry point: block ``block`` of a cell
-    is seeded ``derive_seed(root_seed, BLOCK_STREAM, distance, k, block)``
-    and simulated with :func:`simulate_find_times`.  Because the seed
+    The incremental sweep runner's per-block entry point: block ``block``
+    of a cell is seeded
+    ``derive_seed(root_seed, BLOCK_STREAM, distance, k, block)`` and
+    simulated with :func:`simulate_find_times`.  (The runner runs
+    static-world blocks stacked, via :meth:`StackedTask.for_block`, with
+    bitwise the same result.)  Because the seed
     depends only on ``(root_seed, distance, k, block)`` — never on how
     many blocks ran before, which process runs it, or which other cells
     exist — blocks are *appendable*: a cached 200-trial cell tops up to
     1000 by simulating blocks 3.. and concatenating, bitwise identical to
     having run all blocks in one session.
     """
-    if block < 0:
-        raise ValueError(f"block index must be >= 0, got {block}")
-    seed = derive_seed(root_seed, BLOCK_STREAM, int(distance), int(k), int(block))
+    seed = _block_seed(root_seed, distance, k, block)
     return simulate_find_times(
         algorithm, world, k, trials, seed,
         horizon=horizon, max_phases=max_phases, scenario=scenario,

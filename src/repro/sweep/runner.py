@@ -59,6 +59,25 @@ removes the whole-cell straggler of the old per-cell fan-out, where one
 noisy cell ran its entire stream on a single worker while the rest of
 the pool idled.
 
+Blocks travel in **packs**: each free executor slot receives one
+``_execute_pack`` task holding the next block of several cells, about a
+``1 / free slots`` share of the candidate blocks' estimated cost, and
+the pack returns the blocks' times concatenated, which the scheduler splits
+by :func:`repro.sweep.spec.block_trials`.  On a serial executor a
+scheduling round is therefore one pack holding every live cell's next
+block; on a pool a heavy block runs alone while cheap ones share a
+pack.  Inside a pack, static-world excursion blocks run as one
+:func:`repro.sim.events.simulate_find_times_stacked` pass — one NumPy
+pass per phase over all their slots instead of one small pass per
+block, which is what the adaptive path's 32-128-trial blocks were bound
+by — and other blocks (dynamic worlds, walkers, adaptive searchers)
+keep their per-block entry points.  Packing cannot change
+results: every block keeps its own block-seeded generator and makes
+exactly the RNG calls of a lone block call, the stacked pass is
+elementwise over slots, and folding, stopping decisions and speculation
+limits stay per cell in schedule order.  Pack composition is a
+scheduling choice, like task order, outside the determinism contract.
+
 Because a block's content never depends on how many blocks ran before,
 which process ran it, or which other cells exist, a cell's sample is a
 deterministic prefix of an infinite trial stream: cached blocks (v2
@@ -92,11 +111,14 @@ from ..checks.registry import register_stream
 from ..faults import ensure_env_plan
 from ..obs import BUS, ensure_env_tracing
 from ..sim.events import (
+    StackedTask,
     find_time_statistics,
     simulate_find_times,
     simulate_find_times_batch,
     simulate_find_times_block,
+    simulate_find_times_stacked,
 )
+from ..sim.protocol import ExcursionBatchEngine, engine_for
 from ..sim.rng import derive_seed, spawn_seeds
 from ..sim.walkers import Walker, walker_find_times_block
 from ..sim.world import place_targets, place_treasure
@@ -583,26 +605,65 @@ def _usable_prefix(existing: Optional[np.ndarray]) -> np.ndarray:
     return existing[: completed_trials(whole_blocks(existing.size))]
 
 
+def _execute_pack(payload) -> np.ndarray:
+    """Simulate a pack of trial blocks; module-level for pickling.
+
+    ``payload`` is ``(spec, [(distance, k, block), ...])``.  Returns the
+    blocks' find times concatenated in pack order; the scheduler splits them
+    by :func:`repro.sweep.spec.block_trials`.  Static-world excursion
+    blocks run together through
+    :func:`repro.sim.events.simulate_find_times_stacked`; everything else
+    (dynamic worlds, walkers, adaptive searchers) keeps its per-block
+    entry point.  Every block carries its own block seed, so each block's
+    times equal a lone :func:`repro.sim.events.simulate_find_times_block`
+    (or walker) call bit for bit, however blocks are packed.
+    """
+    spec, blocks = payload
+    params = spec.param_dict()
+    strategies: Dict[int, object] = {}
+    parts: List[Optional[np.ndarray]] = [None] * len(blocks)
+    stacked: List[StackedTask] = []
+    stacked_at: List[int] = []
+    for position, (distance, k, block) in enumerate(blocks):
+        with trace.trace_scope(cell=(distance, k), block=block):
+            if k not in strategies:
+                strategies[k] = build_algorithm(spec.algorithm, k, params)
+            strategy = strategies[k]
+            world = _cell_world(spec, distance, k)
+            trials = block_trials(block)
+            engine = engine_for(strategy)
+            if not isinstance(engine, ExcursionBatchEngine):
+                parts[position] = walker_find_times_block(
+                    strategy, world, k, trials, spec.seed,
+                    distance=distance, block=block,
+                    horizon=spec.horizon, scenario=spec.scenario,
+                    world_spec=spec.world,
+                )
+            elif spec.world is not None:
+                parts[position] = simulate_find_times_block(
+                    strategy, world, k, trials, spec.seed,
+                    distance=distance, block=block,
+                    horizon=spec.horizon, scenario=spec.scenario,
+                    world_spec=spec.world,
+                )
+            else:
+                stacked.append(StackedTask.for_block(
+                    strategy, world, k, trials, spec.seed,
+                    distance=distance, block=block,
+                    horizon=spec.horizon, scenario=spec.scenario,
+                ))
+                stacked_at.append(position)
+    for position, times in zip(
+        stacked_at, simulate_find_times_stacked(stacked)
+    ):
+        parts[position] = times
+    return np.concatenate(parts)
+
+
 def _execute_block(payload) -> np.ndarray:
-    """Simulate one trial block of one cell; module-level for pickling."""
+    """Simulate one trial block of one cell: a pack of one."""
     spec, distance, k, block = payload
-    with trace.trace_scope(cell=(distance, k), block=block):
-        strategy = build_algorithm(spec.algorithm, k, spec.param_dict())
-        world = _cell_world(spec, distance, k)
-        trials = block_trials(block)
-        if isinstance(strategy, (Walker, AdaptiveSearcher)):
-            return walker_find_times_block(
-                strategy, world, k, trials, spec.seed,
-                distance=distance, block=block,
-                horizon=spec.horizon, scenario=spec.scenario,
-                world_spec=spec.world,
-            )
-        return simulate_find_times_block(
-            strategy, world, k, trials, spec.seed,
-            distance=distance, block=block,
-            horizon=spec.horizon, scenario=spec.scenario,
-            world_spec=spec.world,
-        )
+    return _execute_pack((spec, [(distance, k, block)]))
 
 
 def reference_cell_times(
@@ -955,97 +1016,131 @@ def _schedule_blocks(
     policy = spec.budget
     span_starts: Dict[int, float] = {}
     while True:
-        # Fill the pool greedily: each free slot goes to the live cell
-        # with the highest estimated per-trial cost *per in-flight
-        # block* — weighted fair queuing over the block queue.  A heavy
-        # straggler therefore pipelines several of its (independent,
-        # speculatively submitted) blocks at once while cheap cells hold
-        # one slot each, which is what removes the whole-cell straggler:
-        # blocks only *decide* sequentially, they never have to *run*
-        # sequentially.  Cells that satisfy their policy drop out of the
-        # candidate set, releasing their slots to whoever is left.
+        # Fill every free slot with a *pack* of blocks (see _next_pack).
         while len(tickets) < executor.workers:
-            # A cell's frontier block (nothing outstanding) is always
-            # needed; blocks beyond it are speculation, allowed only up
-            # to the cell's estimated total need so an early stop never
-            # discards more than the block straddling the estimate.
-            candidates = [
-                s
-                for s in states
-                if not s.done
-                and completed_trials(s.next_submit) < policy.max_trials
-                and (
-                    s.next_submit == s.blocks
-                    or completed_trials(s.next_submit) < s.need
-                )
-            ]
-            if not candidates:
+            members = _next_pack(
+                states, policy, executor.workers - len(tickets)
+            )
+            if not members:
                 break
-            state = max(
-                candidates,
-                key=lambda s: s.weight() / (len(s.inflight) + 1),
-            )
-            block = state.next_submit
-            speculative = block > state.blocks  # past the decision frontier
-            steal = bool(state.inflight)  # another block already pipelining
-            state.next_submit += 1
-            state.inflight.add(block)
-            if state.started is None:
-                state.started = time.perf_counter()
+            pack = []
+            speculative = steal = False
+            for state in members:
+                block = state.next_submit
+                state.next_submit += 1
+                if BUS.enabled:
+                    # Past the decision frontier / another block already
+                    # pipelining for this cell.
+                    if block > state.blocks:
+                        speculative = True
+                        BUS.counter(
+                            "executor.speculate",
+                            distance=state.distance, k=state.k, block=block,
+                        )
+                    if state.inflight:
+                        steal = True
+                        BUS.counter(
+                            "executor.steal",
+                            distance=state.distance, k=state.k, block=block,
+                        )
+                state.inflight.add(block)
+                if state.started is None:
+                    state.started = time.perf_counter()
+                pack.append((state, block))
+            trials = sum(block_trials(block) for _, block in pack)
             ticket = executor.submit(
-                _execute_block,
-                (spec, state.distance, state.k, block),
-                result_shape=(block_trials(block),),
+                _execute_pack,
+                (spec, [(s.distance, s.k, block) for s, block in pack]),
+                result_shape=(trials,),
             )
-            tickets[ticket] = (state, block)
+            tickets[ticket] = pack
             if BUS.enabled:
-                if speculative:
-                    BUS.counter(
-                        "executor.speculate",
-                        distance=state.distance, k=state.k, block=block,
-                    )
-                if steal:
-                    BUS.counter(
-                        "executor.steal",
-                        distance=state.distance, k=state.k, block=block,
-                    )
                 span_starts[ticket] = BUS.span_start(
-                    "cell.block", ticket=ticket, kind="block",
-                    distance=state.distance, k=state.k, block=block,
+                    "cell.block", ticket=ticket, kind="pack",
                     speculative=speculative, steal=steal,
+                    **_pack_labels(pack),
                 )
         if not tickets:
             break
         ticket, times = executor.next_completed()
-        state, block = tickets.pop(ticket)
-        state.inflight.discard(block)
-        if state.done:
-            # Speculative overshoot of an already-satisfied cell.
-            if BUS.enabled:
-                BUS.counter(
-                    "executor.discard",
-                    distance=state.distance, k=state.k, block=block,
-                )
-                if ticket in span_starts:
-                    BUS.span_end(
-                        "cell.block", span_starts.pop(ticket),
-                        ticket=ticket, kind="block",
-                        distance=state.distance, k=state.k, block=block,
-                        discarded=True,
-                    )
-            continue
+        pack = tickets.pop(ticket)
         if BUS.enabled and ticket in span_starts:
             BUS.span_end(
                 "cell.block", span_starts.pop(ticket), ticket=ticket,
-                kind="block", distance=state.distance, k=state.k,
-                block=block, discarded=False,
+                kind="pack", **_pack_labels(pack),
             )
-        state.pending[block] = times
-        _fold_ready(state, policy)
-        if state.done:
-            finish(state)
+        offset = 0
+        for state, block in pack:
+            size = block_trials(block)
+            fresh = times[offset : offset + size]
+            offset += size
+            state.inflight.discard(block)
+            if state.done:
+                # Speculative overshoot of an already-satisfied cell.
+                if BUS.enabled:
+                    BUS.counter(
+                        "executor.discard",
+                        distance=state.distance, k=state.k, block=block,
+                    )
+                continue
+            state.pending[block] = fresh
+            _fold_ready(state, policy)
+            if state.done:
+                finish(state)
         if checkpoint is not None:
             checkpoint()
+
+
+def _next_pack(
+    states: List[_CellState], policy, free: int
+) -> List[_CellState]:
+    """The cells whose next block goes into the next pack, in rank order.
+
+    A cell's frontier block (nothing outstanding) is always needed;
+    blocks beyond it are speculation, allowed only up to the cell's
+    estimated total need so an early stop never discards more than the
+    block straddling the estimate.  Cells rank by estimated per-trial
+    cost *per in-flight block* — weighted fair queuing — so a heavy
+    straggler pipelines several of its (independent) blocks across the
+    pool while cheap cells hold one block each: blocks only *decide*
+    sequentially, they never have to *run* sequentially.  The pack takes
+    ranked cells until it holds a ``1 / free`` share of the candidates'
+    estimated block cost, so the free slots split the round evenly: on a
+    process pool a heavy block runs alone while cheap ones share a pack,
+    and on a serial executor each round is one pack of every live cell.
+    """
+    candidates = [
+        s
+        for s in states
+        if not s.done
+        and completed_trials(s.next_submit) < policy.max_trials
+        and (
+            s.next_submit == s.blocks
+            or completed_trials(s.next_submit) < s.need
+        )
+    ]
+    candidates.sort(
+        key=lambda s: s.weight() / (len(s.inflight) + 1), reverse=True
+    )
+    costs = [s.weight() * block_trials(s.next_submit) for s in candidates]
+    share = sum(costs) / free
+    members: List[_CellState] = []
+    cost = 0.0
+    for state, block_cost in zip(candidates, costs):
+        members.append(state)
+        cost += block_cost
+        if cost >= share:
+            break
+    return members
+
+
+def _pack_labels(pack) -> Dict[str, List[int]]:
+    """A pack's blocks as the flat lists a ``cell.block`` span carries."""
+    return {
+        "distances": [state.distance for state, _ in pack],
+        "ks": [state.k for state, _ in pack],
+        "blocks": [block for _, block in pack],
+    }
 
 
 def run_sweep(

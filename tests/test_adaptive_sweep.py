@@ -326,7 +326,7 @@ class TestBlockStoreCache:
 
         mine = adaptive(distances=(8,), max_trials=32)
         racer = adaptive(distances=(16,), max_trials=32)
-        real = runner_mod._execute_block
+        real = runner_mod._execute_pack
         state = {"raced": False}
 
         def racing(payload):
@@ -335,7 +335,7 @@ class TestBlockStoreCache:
                 run_sweep(racer, cache_dir=str(tmp_path))
             return real(payload)
 
-        monkeypatch.setattr(runner_mod, "_execute_block", racing)
+        monkeypatch.setattr(runner_mod, "_execute_pack", racing)
         run_sweep(mine, cache_dir=str(tmp_path))
         store = load_blocks(mine, block_store_path(mine, str(tmp_path)))
         assert set(store) == {(8, 1), (8, 4), (16, 1), (16, 4)}

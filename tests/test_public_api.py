@@ -1,5 +1,8 @@
 """Tests for the top-level public API (the README quickstart contract)."""
 
+import os
+import re
+
 import numpy as np
 
 import repro
@@ -8,6 +11,16 @@ import repro
 class TestExports:
     def test_version(self):
         assert repro.__version__
+
+    def test_version_has_a_single_source(self):
+        # pyproject reads the package version from repro.__version__
+        # (which the remote worker handshake pins) instead of its own.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            text = handle.read()
+        assert 'dynamic = ["version"]' in text
+        assert 'version = { attr = "repro.__version__" }' in text
+        assert not re.search(r'^version\s*=\s*"', text, re.MULTILINE)
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

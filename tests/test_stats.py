@@ -129,6 +129,39 @@ class TestStreamingMoments:
         assert acc.ci_halfwidth(0.5) < acc.ci_halfwidth(0.99)
 
 
+class TestNormalQuantile:
+    @pytest.mark.parametrize("p", [0.001, 0.025, 0.5, 0.9, 0.975, 0.999])
+    def test_memoised_value_is_scipy_ppf(self, p):
+        from scipy import stats
+
+        normal_quantile.cache_clear()
+        first = normal_quantile(p)
+        assert first == float(stats.norm.ppf(p))
+        assert normal_quantile(p) == first  # served from the cache
+        assert normal_quantile.cache_info().hits >= 1
+
+    def test_invalid_p_still_raises(self):
+        with pytest.raises(ValueError):
+            normal_quantile(1.0)
+        with pytest.raises(ValueError):
+            normal_quantile(0.0)
+
+    def test_acklam_fallback_without_scipy(self, monkeypatch):
+        from scipy import stats
+
+        monkeypatch.setitem(__import__("sys").modules, "scipy", None)
+        normal_quantile.cache_clear()
+        try:
+            for p in (0.01, 0.3, 0.975):
+                value = normal_quantile(p)
+                assert value == pytest.approx(
+                    float(stats.norm.ppf(p)), rel=1.2e-9
+                )
+                assert value != float(stats.norm.ppf(p))  # not scipy's
+        finally:
+            normal_quantile.cache_clear()
+
+
 class TestSuccessCounter:
     def test_counts_and_merge(self):
         a = SuccessCounter()
