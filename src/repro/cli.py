@@ -604,8 +604,11 @@ def _cmd_run(
 
 
 def _activate_fault_plan(source: Optional[str]) -> None:
-    """Arm ``--fault-plan`` on the process singleton (and, via the
-    environment, on every worker process this run spawns)."""
+    """Arm ``--fault-plan`` on the process singleton.
+
+    Every seam runs in this driver process except ``pool.kill``, whose
+    crash file pool workers inherit through the environment.
+    """
     if not source:
         return
     from .faults import FAULT_PLAN_ENV, activate, load_plan
@@ -614,8 +617,8 @@ def _activate_fault_plan(source: Optional[str]) -> None:
         activate(load_plan(source))
     except (OSError, ValueError) as error:
         raise SystemExit(f"--fault-plan {source!r}: {error}")
-    # Workers re-load the plan from the environment (ensure_env_plan in
-    # the task wrapper), so worker-side seams see the same schedule.
+    # run_sweep's ensure_env_plan reads the environment once; point it at
+    # this plan so an inherited REPRO_FAULT_PLAN cannot replace it.
     os.environ[FAULT_PLAN_ENV] = source
 
 

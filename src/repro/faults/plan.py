@@ -18,6 +18,7 @@ cost to one attribute read (pinned by ``benchmarks/test_bench_faults.py``).
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import threading
@@ -45,9 +46,10 @@ __all__ = [
 ]
 
 #: Environment activation: a path to a plan JSON file, or the JSON text
-#: itself (anything starting with ``{``).  Read once per process by
-#: :func:`ensure_env_plan`; inherited by pool workers, which is how
-#: worker-side seams (shm attach, pool kill) see the same plan.
+#: itself (anything starting with ``{``).  Read once per driver process
+#: by :func:`ensure_env_plan`.  Pool workers never load it: the one
+#: worker-side fault, ``pool.kill``, reaches them through the inherited
+#: crash file (see :meth:`FaultInjector._arm_pool_kill`).
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: The dedicated chaos-scheduling stream (``repro.checks`` registry).
@@ -59,7 +61,6 @@ FAULT_SITES = (
     "cache.read",      # cache open/read raises (injected I/O error)
     "cache.corrupt",   # cache archive reads as truncated/corrupt
     "cache.write",     # cache write fails (mode "crash" orphans the tmp)
-    "shm.attach",      # worker-side shared-memory attach fails
     "pool.kill",       # process-pool worker hard-exits mid-task
     "executor.process", # process tier unreachable (degradation chain)
     "remote.connect",  # connect refused (retried with backoff)
@@ -183,10 +184,10 @@ class FaultInjector:
     :meth:`check` counts the opportunity against every rule matching the
     site, draws the rule's firing decision from the fault stream, and
     returns the first rule that fires (or ``None``).  Opportunity
-    counters are per ``(rule, process)``: driver-side seams see a
-    deterministic opportunity sequence by construction, and worker-side
-    seams only ever fire recoverable faults whose fallback is bitwise
-    identical, so parity never depends on cross-process ordering.
+    counters live in the driver process, where every seam that calls
+    :meth:`check` runs, so each seam sees a deterministic opportunity
+    sequence.  ``pool.kill`` fires in pool workers through a shared crash
+    file instead, so parity never depends on cross-process ordering.
     """
 
     def __init__(self) -> None:
@@ -237,6 +238,7 @@ class FaultInjector:
     _CRASH_ENV = "REPRO_EXECUTOR_CRASH"
 
     def _arm_pool_kill(self, plan: FaultPlan) -> None:
+        """Arm the crash file (driver only; workers inherit the env)."""
         self._disarm_pool_kill()
         kills = sum(
             (rule.times if rule.times is not None else 1)
@@ -312,6 +314,11 @@ class FaultInjector:
 #: The process singleton every instrumented seam reads.
 FAULTS = FaultInjector()
 
+# A plan activated for the whole process (``ensure_env_plan``, CLI
+# ``--fault-plan``) is never deactivated; remove its crash file at exit.
+# Forked pool workers leave through ``os._exit`` and never run this.
+atexit.register(FAULTS._disarm_pool_kill)
+
 
 def activate(plan: FaultPlan) -> None:
     """Activate ``plan`` on the process singleton (resets counters)."""
@@ -340,9 +347,10 @@ _ENV_LOADED = False
 def ensure_env_plan() -> None:
     """Honour :data:`FAULT_PLAN_ENV` (idempotent; cheap after first call).
 
-    Called by ``run_sweep`` on the driver and by the pool-worker task
-    wrapper, so one exported variable arms every process of a run.  A
-    malformed plan raises — chaos testing with a silently ignored plan
+    Called by ``run_sweep`` on the driver.  Workers need no plan of their
+    own: a ``pool.kill`` rule arms the crash file whose path they inherit,
+    and a worker that re-armed it would grant itself a fresh kill budget.
+    A malformed plan raises — chaos testing with a silently ignored plan
     would report vacuous green.
     """
     global _ENV_LOADED

@@ -35,16 +35,10 @@ experiment.  This module owns all three:
   checks, heartbeats, and crash/timeout resubmission riding the same
   determinism argument as the process pool's rebuilds.
 
-Results are 1-D or 2-D ``float64`` arrays.  The process backend ships
-them back through ``multiprocessing.shared_memory`` when the result is
-big enough to be worth it: the parent allocates the segment (it knows
-every task's result shape up front), the worker writes the block in
-place and returns only a tiny ``("shm", shape)`` descriptor, and the
-parent copies the block out and unlinks the segment.  Pickle therefore
-carries descriptors, not data.  Anything that goes wrong with shared
-memory — platform without it, ``/dev/shm`` full or unwritable, the
-``REPRO_SWEEP_SHM=0`` kill switch — degrades per task to the inline
-pickle path, bitwise identically.
+Results are 1-D or 2-D ``float64`` arrays.  Pool and remote workers run
+every task through :func:`_invoke_task`, which returns ``(result,
+exec_s)``: the process pool pickles that pair back, the remote worker
+frames it.
 
 Determinism contract: executors only move arrays; they never change
 them.  Every backend returns, for the same submitted task, the same
@@ -78,7 +72,7 @@ from typing import (
 
 import numpy as np
 
-from ..faults import FAULTS, ensure_env_plan
+from ..faults import FAULTS
 from ..obs import BUS
 
 __all__ = [
@@ -95,14 +89,6 @@ __all__ = [
 #: Known backend names (``auto`` resolves on the worker count; it never
 #: picks ``remote`` — distributing a sweep is always an explicit ask).
 BACKENDS = ("auto", "serial", "process", "remote")
-
-#: Environment kill switch for shared-memory transport ("0" disables).
-SHM_ENV = "REPRO_SWEEP_SHM"
-
-#: Results below this many bytes ride the pickle path even when shared
-#: memory is available — a 32-trial block is cheaper to pickle than to
-#: mmap.  One 128-trial block (1 KiB of float64) is the break-even.
-DEFAULT_SHM_MIN_BYTES = 1024
 
 #: Fault-injection hook for the crash/restart tests: when this variable
 #: names a file holding an integer ``n > 0``, the next task execution in
@@ -138,10 +124,6 @@ def resolve_workers(workers: WorkersLike) -> int:
     return count
 
 
-def _shm_default() -> bool:
-    return os.environ.get(SHM_ENV, "1") != "0"
-
-
 def _maybe_crash() -> None:
     """Honour the crash-injection hook (test-only; see :data:`CRASH_ENV`)."""
     path = os.environ.get(CRASH_ENV)
@@ -162,87 +144,18 @@ def _maybe_crash() -> None:
     os._exit(37)
 
 
-#: Serialises the pre-3.13 resource-tracker monkeypatch in
-#: :func:`_attach_untracked`.  Without it, two threads attaching
-#: concurrently interleave their save/patch/restore sequences: the
-#: second thread saves the first thread's no-op lambda as "original"
-#: and restores *that*, permanently disabling resource tracking for the
-#: whole process.  Pool workers attach one segment at a time today, but
-#: the remote worker runs tasks on a ``slots``-wide thread pool — and a
-#: process-global patch must be safe regardless of who calls it.
-_TRACKER_PATCH_LOCK = threading.Lock()
+def _invoke_task(fn: TaskFn, payload: object) -> Tuple[np.ndarray, float]:
+    """Worker-side wrapper: run one task, return ``(result, exec_s)``.
 
-
-def _attach_untracked(name: str):
-    """Pre-3.13 fallback: attach with resource tracking suppressed.
-
-    Older interpreters register every attach unconditionally — into
-    whichever tracker the caller happens to talk to (its own after a
-    bare fork, or the parent's inherited one), producing spurious leak
-    warnings or double-unregister noise at shutdown.  Registration is
-    suppressed by briefly swapping in a no-op; the swap mutates
-    process-global state, so it runs under :data:`_TRACKER_PATCH_LOCK`
-    to keep concurrent attaches from clobbering the real function.
+    The target of every pool and remote-worker execution.  ``exec_s`` is
+    the measured execution time: a worker's event bus is disabled by
+    design (process-local; DESIGN.md §12), so timing travels back as
+    result metadata and the *driver* emits it.
     """
-    from multiprocessing import resource_tracker, shared_memory
-
-    with _TRACKER_PATCH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-def _attach_shm(name: str):
-    """Attach to an existing segment; the parent owns its lifetime.
-
-    The parent created, registered, and will unlink the segment, so the
-    worker's attach must stay out of resource tracking entirely: Python
-    >= 3.13 has ``track=False`` for exactly this; older interpreters go
-    through :func:`_attach_untracked`.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        return _attach_untracked(name)
-
-
-def _invoke_task(fn: TaskFn, payload, shm_name: Optional[str]):
-    """Worker-side wrapper: run the task, ship the result (pool target).
-
-    Returns ``("shm", shape, exec_s)`` after writing the array into the
-    parent's pre-allocated segment, or ``("inline", array, exec_s)``
-    when no segment was offered or attaching/fitting failed.  The third
-    element is the measured execution time: the worker's own event bus
-    is disabled by design (process-local; DESIGN.md §12), so timing
-    travels back as result metadata and the *driver* emits it.
-    """
-    ensure_env_plan()  # pool workers inherit REPRO_FAULT_PLAN
     _maybe_crash()
     started = time.perf_counter()
     result = np.ascontiguousarray(np.asarray(fn(payload), dtype=np.float64))
-    exec_s = time.perf_counter() - started
-    if shm_name is not None:
-        try:
-            if FAULTS.enabled and FAULTS.check("shm.attach") is not None:
-                raise OSError("injected shm attach failure")
-            segment = _attach_shm(shm_name)
-        except (OSError, ValueError, ImportError):
-            return ("inline", result, exec_s)
-        try:
-            if result.nbytes <= segment.size:
-                view = np.ndarray(
-                    result.shape, dtype=np.float64, buffer=segment.buf
-                )
-                view[...] = result
-                return ("shm", result.shape, exec_s)
-        finally:
-            segment.close()
-    return ("inline", result, exec_s)
+    return result, time.perf_counter() - started
 
 
 class SweepExecutor:
@@ -255,7 +168,7 @@ class SweepExecutor:
     * :meth:`next_completed` blocks until *some* submitted task is done
       and returns ``(ticket, result)``;
     * :attr:`pending` counts submitted-but-uncollected tasks;
-    * :meth:`close` releases pools and transport resources.
+    * :meth:`close` releases pools and connections.
 
     ``fn`` must be a module-level function and ``payload`` picklable
     (the serial backends do not care, but tasks must stay portable
@@ -265,12 +178,7 @@ class SweepExecutor:
     backend: str = "?"
     workers: int = 1
 
-    def submit(
-        self,
-        fn: TaskFn,
-        payload: object,
-        result_shape: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def submit(self, fn: TaskFn, payload: object) -> int:
         raise NotImplementedError
 
     def next_completed(self) -> Tuple[int, np.ndarray]:
@@ -282,9 +190,8 @@ class SweepExecutor:
         The failure-cleanup seam: a caller whose run dies mid-flight
         must discard its outstanding tickets so a *shared* executor
         hands nothing stale to the next run.  Results of discarded
-        tasks (including ones already computed) are dropped and their
-        transport resources released; never-started serial tasks are
-        simply never executed.
+        tasks (including ones already computed) are dropped;
+        never-started serial tasks are simply never executed.
         """
         raise NotImplementedError
 
@@ -313,12 +220,7 @@ class SerialExecutor(SweepExecutor):
         self._order: List[int] = []
         self._tickets = itertools.count()
 
-    def submit(
-        self,
-        fn: TaskFn,
-        payload: object,
-        result_shape: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def submit(self, fn: TaskFn, payload: object) -> int:
         ticket = next(self._tickets)
         self._tasks[ticket] = (fn, payload)
         self._order.append(ticket)
@@ -400,12 +302,7 @@ class VirtualExecutor(SweepExecutor):
         self._tickets = itertools.count()
         self._seq = itertools.count()  # FIFO tie-break for equal finishes
 
-    def submit(
-        self,
-        fn: TaskFn,
-        payload: object,
-        result_shape: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def submit(self, fn: TaskFn, payload: object) -> int:
         ticket = next(self._tickets)
         result = np.asarray(fn(payload), dtype=np.float64)
         cost = float(self._cost_fn(fn, payload, result))
@@ -459,22 +356,17 @@ class VirtualExecutor(SweepExecutor):
 
 
 class _Record:
-    __slots__ = ("ticket", "fn", "payload", "shm", "done", "failed")
+    __slots__ = ("ticket", "fn", "payload", "done")
 
-    def __init__(self, ticket, fn, payload, shm) -> None:
+    def __init__(self, ticket, fn, payload) -> None:
         self.ticket = ticket
         self.fn = fn
         self.payload = payload
-        self.shm = shm
         self.done = False
-        #: True when the queued outcome is an exception — the segment is
-        #: then dead weight (no collect path reads it) and the restart
-        #: orphan sweep may unlink it early.
-        self.failed = False
 
 
 class ProcessExecutor(SweepExecutor):
-    """Persistent worker pool with crash recovery and shm transport.
+    """Persistent worker pool with crash recovery.
 
     The pool is created lazily on first :meth:`submit` and lives until
     :meth:`close` — one executor serves every sweep of an experiment (or
@@ -484,7 +376,8 @@ class ProcessExecutor(SweepExecutor):
     ``max_restarts`` times.  Because tasks are pure functions of their
     payloads, a resubmitted task returns byte-identical results — crash
     recovery is invisible in the output, which the fault-injection tests
-    assert.
+    assert.  Workers run :func:`_invoke_task` and the pool pickles its
+    ``(result, exec_s)`` pair back.
     """
 
     backend = "process"
@@ -494,14 +387,10 @@ class ProcessExecutor(SweepExecutor):
         workers: int,
         *,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
-        use_shm: Optional[bool] = None,
-        shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
         mp_context=None,
     ) -> None:
         self.workers = max(1, int(workers))
         self._max_restarts = int(max_restarts)
-        self._use_shm = _shm_default() if use_shm is None else bool(use_shm)
-        self._shm_min_bytes = int(shm_min_bytes)
         self._mp_context = mp_context
         self._lock = threading.RLock()
         self._ready: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -525,45 +414,13 @@ class ProcessExecutor(SweepExecutor):
         """Pool rebuilds performed so far (crash-recovery telemetry)."""
         return self._restarts
 
-    # -- shared-memory transport ---------------------------------------
-    def _allocate_shm(self, result_shape):
-        if not self._use_shm or result_shape is None:
-            return None
-        nbytes = 8 * int(np.prod(result_shape, dtype=np.int64))
-        if nbytes < self._shm_min_bytes:
-            return None
-        try:
-            from multiprocessing import shared_memory
-
-            return shared_memory.SharedMemory(create=True, size=nbytes)
-        except (ImportError, OSError, ValueError):
-            return None
-
-    @staticmethod
-    def _release_shm(record: _Record) -> None:
-        if record.shm is None:
-            return
-        try:
-            record.shm.close()
-            record.shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-        record.shm = None
-
     # -- submission / completion ---------------------------------------
-    def submit(
-        self,
-        fn: TaskFn,
-        payload: object,
-        result_shape: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def submit(self, fn: TaskFn, payload: object) -> int:
         with self._lock:
             if self._closed:
                 raise RuntimeError("executor is closed")
             ticket = next(self._tickets)
-            record = _Record(
-                ticket, fn, payload, self._allocate_shm(result_shape)
-            )
+            record = _Record(ticket, fn, payload)
             self._records[ticket] = record
             self._launch(record)
             depth = len(self._records)
@@ -575,10 +432,9 @@ class ProcessExecutor(SweepExecutor):
     def _launch(self, record: _Record) -> None:
         """Submit one record to the current pool (lock held)."""
         generation = self._generation
-        shm_name = record.shm.name if record.shm is not None else None
         try:
             future = self._ensure_pool().submit(
-                _invoke_task, record.fn, record.payload, shm_name
+                _invoke_task, record.fn, record.payload
             )
         except Exception:
             # Covers a broken pool, but also pool *creation* failing
@@ -607,7 +463,6 @@ class ProcessExecutor(SweepExecutor):
                 return
             record.done = True
             outcome = error if error is not None else future.result()
-            record.failed = isinstance(outcome, BaseException)
         self._ready.put((record.ticket, outcome))
 
     def _rebuild(self, generation: int) -> None:
@@ -627,34 +482,19 @@ class ProcessExecutor(SweepExecutor):
                 for record in self._records.values():
                     if not record.done:
                         record.done = True
-                        record.failed = True
-                        # The outcome is an exception: no collect path
-                        # will ever read this record's segment, and a
-                        # caller that stops collecting after the first
-                        # failure would leak it until close().  Unlink
-                        # now, while the record is still ours.
-                        self._release_shm(record)
                         self._ready.put((record.ticket, failure))
                 return
             resubmitted = 0
             for record in self._records.values():
                 if record.done:
-                    # Orphan sweep: a *failed* record still holding a
-                    # segment (exception queued, maybe never collected)
-                    # has no remaining path that needs it — reclaim it
-                    # during the restart instead of at close().  A
-                    # successful shm result keeps its segment: the
-                    # collector still has to read it.
-                    if record.failed:
-                        self._release_shm(record)
-                else:
-                    if BUS.enabled:
-                        BUS.counter(
-                            "executor.resubmit",
-                            ticket=record.ticket, cause="pool_crash",
-                        )
-                    self._launch(record)
-                    resubmitted += 1
+                    continue
+                if BUS.enabled:
+                    BUS.counter(
+                        "executor.resubmit",
+                        ticket=record.ticket, cause="pool_crash",
+                    )
+                self._launch(record)
+                resubmitted += 1
             if BUS.enabled:
                 BUS.counter(
                     "executor.restart",
@@ -673,35 +513,22 @@ class ProcessExecutor(SweepExecutor):
                 record = self._records.pop(ticket, None)
             if record is None:
                 continue  # outcome of a discarded task; drop it
-            try:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                kind, value, exec_s = outcome
-                if BUS.enabled:
-                    BUS.counter(
-                        "executor.complete", ticket=ticket,
-                        backend=self.backend, exec_s=exec_s,
-                    )
-                if kind == "shm":
-                    view = np.ndarray(
-                        tuple(value), dtype=np.float64, buffer=record.shm.buf
-                    )
-                    return ticket, np.array(view)
-                return ticket, value
-            finally:
-                self._release_shm(record)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            result, exec_s = outcome
+            if BUS.enabled:
+                BUS.counter(
+                    "executor.complete", ticket=ticket,
+                    backend=self.backend, exec_s=exec_s,
+                )
+            return ticket, result
 
     def discard(self, tickets: Iterable[int]) -> None:
         with self._lock:
-            records = [
-                self._records.pop(t)
-                for t in set(tickets)
-                if t in self._records
-            ]
-            for record in records:
-                record.done = True  # late callbacks must not re-deliver
-        for record in records:
-            self._release_shm(record)
+            for ticket in set(tickets):
+                record = self._records.pop(ticket, None)
+                if record is not None:
+                    record.done = True  # late callbacks must not re-deliver
 
     @property
     def pending(self) -> int:
@@ -714,12 +541,9 @@ class ProcessExecutor(SweepExecutor):
                 return
             self._closed = True
             pool, self._pool = self._pool, None
-            records = list(self._records.values())
             self._records.clear()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        for record in records:
-            self._release_shm(record)
 
 
 def _degrade(tier: str, fallback: str, reason: str) -> None:

@@ -112,7 +112,7 @@ import numpy as np
 
 from ..faults import FAULTS, FaultError, backoff_delays
 from ..obs import BUS
-from .executor import SweepExecutor, TaskFn, _maybe_crash
+from .executor import SweepExecutor, TaskFn, _invoke_task
 from .spec import BLOCK_SCHEDULE_VERSION, SPEC_VERSION
 
 __all__ = [
@@ -190,7 +190,7 @@ async def read_frame(
 
 
 def encode_array(array: np.ndarray) -> Tuple[Dict[str, object], bytes]:
-    """The shm-descriptor encoding, serialised: (shape, dtype) + bytes."""
+    """Frame an array as a ``(shape, dtype)`` header plus its raw bytes."""
     data = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
     return {"shape": list(data.shape), "dtype": "float64"}, data.tobytes()
 
@@ -300,19 +300,6 @@ def _resolve_task_fn(name: str) -> TaskFn:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _run_payload(fn: TaskFn, payload: object) -> Tuple[np.ndarray, float]:
-    """Execute one task on a worker thread (shares the crash-test hook).
-
-    Returns the result plus its measured execution time: the worker
-    never emits events itself (the bus is process-local), so timing
-    rides the result header back to the driver, which emits it.
-    """
-    _maybe_crash()
-    started = time.perf_counter()
-    result = np.ascontiguousarray(np.asarray(fn(payload), dtype=np.float64))
-    return result, time.perf_counter() - started
-
-
 async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -363,7 +350,7 @@ async def _handle_connection(
                 fn = _resolve_task_fn(str(fn_name))
                 payload = pickle.loads(blob)
                 result, exec_s = await loop.run_in_executor(
-                    pool, _run_payload, fn, payload
+                    pool, _invoke_task, fn, payload
                 )
                 head, body = encode_array(result)
                 head.update({"type": "result", "id": ticket, "exec_s": exec_s})
@@ -926,12 +913,7 @@ class RemoteExecutor(SweepExecutor):
             self._finish(ticket, RuntimeError(message))
 
     # -- executor surface ----------------------------------------------
-    def submit(
-        self,
-        fn: TaskFn,
-        payload: object,
-        result_shape: Optional[Tuple[int, ...]] = None,
-    ) -> int:
+    def submit(self, fn: TaskFn, payload: object) -> int:
         name = _task_name(fn)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         self._ensure_started()

@@ -113,12 +113,11 @@ from ..obs import BUS, ensure_env_tracing
 from ..sim.events import (
     StackedTask,
     find_time_statistics,
-    simulate_find_times,
     simulate_find_times_batch,
     simulate_find_times_block,
     simulate_find_times_stacked,
 )
-from ..sim.protocol import ExcursionBatchEngine, engine_for
+from ..sim.protocol import ExcursionBatchEngine, WalkerBatchEngine, engine_for
 from ..sim.rng import derive_seed, spawn_seeds
 from ..sim.walkers import Walker, walker_find_times_block
 from ..sim.world import place_targets, place_treasure
@@ -353,6 +352,7 @@ def _execute_chunk(payload) -> np.ndarray:
     spec, k, distances, placement_seeds, sim_seed, world_seeds = payload
     with trace.trace_scope(k=k, distances=tuple(distances)):
         strategy = build_algorithm(spec.algorithm, k, spec.param_dict())
+        engine = engine_for(strategy)
         if spec.world is not None:
             # Dynamic-world rows resolve one per-world-seeded engine
             # call per distance (walker-style), so results are
@@ -366,34 +366,26 @@ def _execute_chunk(payload) -> np.ndarray:
                     distances, placement_seeds
                 )
             ]
-            rows = []
-            for world, world_seed in zip(targets, world_seeds):
-                if isinstance(strategy, (Walker, AdaptiveSearcher)):
-                    rows.append(strategy.find_times(
-                        world, k, spec.trials, world_seed,
-                        horizon=spec.horizon, scenario=spec.scenario,
-                        world_spec=spec.world,
-                    ))
-                else:
-                    rows.append(simulate_find_times(
-                        strategy, world, k, spec.trials, world_seed,
-                        horizon=spec.horizon, scenario=spec.scenario,
-                        world_spec=spec.world,
-                    ))
-            return np.stack(rows)
+            return np.stack([
+                engine.find_times(
+                    strategy, world, k, spec.trials, world_seed,
+                    horizon=spec.horizon, scenario=spec.scenario,
+                    world_spec=spec.world,
+                )
+                for world, world_seed in zip(targets, world_seeds)
+            ])
         worlds = [
             place_treasure(distance, spec.placement, seed=placement_seed)
             for distance, placement_seed in zip(distances, placement_seeds)
         ]
-        if isinstance(strategy, (Walker, AdaptiveSearcher)):
-            rows = [
-                strategy.find_times(
-                    world, k, spec.trials, world_seed,
+        if isinstance(engine, WalkerBatchEngine):
+            return np.stack([
+                engine.find_times(
+                    strategy, world, k, spec.trials, world_seed,
                     horizon=spec.horizon, scenario=spec.scenario,
                 )
                 for world, world_seed in zip(worlds, world_seeds)
-            ]
-            return np.stack(rows)
+            ])
         return simulate_find_times_batch(
             strategy, worlds, k, spec.trials, sim_seed,
             horizon=spec.horizon, scenario=spec.scenario,
@@ -420,7 +412,7 @@ def _fixed_tasks(spec: SweepSpec, workers: int) -> List[tuple]:
         strategy = build_algorithm(spec.algorithm, group.k, spec.param_dict())
         offsets = {d: i for i, d in enumerate(group.distances)}
         rowwise = (
-            isinstance(strategy, (Walker, AdaptiveSearcher))
+            isinstance(engine_for(strategy), WalkerBatchEngine)
             or spec.world is not None
         )
         if rowwise:
@@ -518,10 +510,7 @@ def _run_fixed(
         for index, task in enumerate(tasks):
             if index in done:
                 continue
-            ticket = executor.submit(
-                _execute_chunk, task,
-                result_shape=(len(task[2]), spec.trials),
-            )
+            ticket = executor.submit(_execute_chunk, task)
             tickets[ticket] = index
             if BUS.enabled:
                 span_starts[ticket] = BUS.span_start(
@@ -1047,11 +1036,9 @@ def _schedule_blocks(
                 if state.started is None:
                     state.started = time.perf_counter()
                 pack.append((state, block))
-            trials = sum(block_trials(block) for _, block in pack)
             ticket = executor.submit(
                 _execute_pack,
                 (spec, [(s.distance, s.k, block) for s, block in pack]),
-                result_shape=(trials,),
             )
             tickets[ticket] = pack
             if BUS.enabled:

@@ -53,6 +53,7 @@ from ..algorithms.base import ExcursionAlgorithm
 from ..algorithms.belief import AdaptiveSearcher
 from ..checks.registry import register_stream
 from ..scenarios import ScenarioSpec
+from ..sim.protocol import WalkerBatchEngine, engine_for
 from ..sim.walkers import BiasedWalker, LevyWalker, RandomWalker, Walker
 from ..sim.world import WorldSpec, resolve_world
 from ..stats import BudgetPolicy
@@ -483,7 +484,7 @@ class SweepSpec:
             # Unregistered strategy or missing parameter: the spec can
             # never execute, so err on the side of the marker.
             return True
-        return not isinstance(probe, (Walker, AdaptiveSearcher))
+        return not isinstance(engine_for(probe), WalkerBatchEngine)
 
     def hashed_fields(self) -> Tuple[str, ...]:
         """The keys of this spec's full-identity hash partition.

@@ -4,8 +4,7 @@ The load-bearing guarantees:
 
 * executors move arrays, never change them: serial and process backends
   produce bitwise-identical sweeps for both budget kinds and both
-  engines, with or without shared-memory transport, and across injected
-  worker crashes;
+  engines, and across injected worker crashes;
 * the fixed path's chunk layout is a function of the spec alone, so
   worker counts can never shift results — and specs that do not split
   keep their historical canonical dict (and cache entries) bit for bit;
@@ -16,8 +15,6 @@ The load-bearing guarantees:
 """
 
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -33,11 +30,7 @@ from repro.sweep import (
     resolve_workers,
     run_sweep,
 )
-from repro.sweep.executor import (
-    CRASH_ENV,
-    ProcessExecutor,
-    SHM_ENV,
-)
+from repro.sweep.executor import CRASH_ENV, ProcessExecutor
 from repro.sweep.runner import _execute_block
 
 
@@ -182,21 +175,21 @@ class TestVirtualExecutor:
 
 
 class TestProcessExecutor:
-    def test_round_trip_inline_and_shm(self):
-        with ProcessExecutor(2, shm_min_bytes=1) as ex:
-            payload = np.arange(400, dtype=np.float64)
-            ex.submit(_double, payload, result_shape=(400,))
-            _, result = ex.next_completed()
-            assert np.array_equal(result, payload * 2.0)
-        with ProcessExecutor(2, use_shm=False) as ex:
-            ex.submit(_double, payload, result_shape=(400,))
-            _, result = ex.next_completed()
-            assert np.array_equal(result, payload * 2.0)
-
-    def test_shm_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "0")
-        with ProcessExecutor(1, shm_min_bytes=1) as ex:
-            assert ex._use_shm is False
+    def test_round_trip_1d_and_2d(self):
+        # Fixed-path chunks return 2-D matrices, packs 1-D arrays; both
+        # come back pickled with shape and bytes intact.
+        payloads = [
+            np.arange(400, dtype=np.float64),
+            np.arange(600, dtype=np.float64).reshape(3, 200),
+        ]
+        with ProcessExecutor(2) as ex:
+            tickets = {ex.submit(_double, p): p for p in payloads}
+            for _ in payloads:
+                ticket, result = ex.next_completed()
+                expected = tickets.pop(ticket) * 2.0
+                assert result.dtype == np.float64
+                assert result.shape == expected.shape
+                assert np.array_equal(result, expected)
 
     def test_task_exceptions_propagate(self):
         with ProcessExecutor(1) as ex:
@@ -220,8 +213,8 @@ class TestProcessExecutor:
         crash = tmp_path / "crash"
         crash.write_text("1")
         monkeypatch.setenv(CRASH_ENV, str(crash))
-        with ProcessExecutor(1, shm_min_bytes=1) as ex:
-            ex.submit(_double, np.arange(300.0), result_shape=(300,))
+        with ProcessExecutor(1) as ex:
+            ex.submit(_double, np.arange(300.0))
             _, result = ex.next_completed()
             assert np.array_equal(result, np.arange(300.0) * 2.0)
             assert ex.restarts == 1
@@ -282,13 +275,6 @@ class TestBackendDeterminism:
             run_sweep(spec, cache=False),
             run_sweep(spec, cache=False, workers=1, backend="process"),
         )
-
-    def test_shm_disabled_matches_enabled(self, monkeypatch):
-        spec = adaptive(max_trials=128)
-        with_shm = run_sweep(spec, cache=False, workers=2)
-        monkeypatch.setenv(SHM_ENV, "0")
-        without = run_sweep(spec, cache=False, workers=2)
-        assert_sweeps_equal(with_shm, without)
 
     def test_crash_mid_sweep_is_invisible(self, tmp_path, monkeypatch):
         spec = adaptive(max_trials=128)
@@ -607,127 +593,20 @@ class TestVirtualExecutorLatencyModel:
         assert_sweeps_equal(serial, remote_like)
 
 
-class TestTrackerPatchSerialisation:
-    """Regression: the pre-3.13 tracker monkeypatch must be serialised.
-
-    ``_attach_untracked`` swaps ``resource_tracker.register`` for a
-    no-op around the attach.  Pre-fix, two threads interleaving the
-    save/patch/restore sequence could save the *other thread's no-op*
-    as "original" and restore that, permanently disabling resource
-    tracking for the whole process.
-    """
-
-    def test_concurrent_attaches_restore_real_register(self, monkeypatch):
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.sweep.executor import _attach_untracked
-
-        real_register = resource_tracker.register
-        first_inside = threading.Event()
-        release_first = threading.Event()
-        attached = []
-
-        class FakeSegment:
-            def __init__(self, name=None, **kwargs):
-                # What a real attach does on pre-3.13 interpreters —
-                # call whatever register currently points at.
-                resource_tracker.register(name, "shared_memory")
-                attached.append(name)
-                if name == "held":
-                    first_inside.set()
-                    assert release_first.wait(timeout=10.0)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", FakeSegment)
-
-        threads = [
-            threading.Thread(target=_attach_untracked, args=("held",)),
-            threading.Thread(target=_attach_untracked, args=("second",)),
-        ]
-        threads[0].start()
-        try:
-            assert first_inside.wait(timeout=10.0)
-            threads[1].start()
-            # The second attach must queue on the patch lock rather
-            # than run while the register swap is mid-flight.
-            time.sleep(0.2)
-            assert attached == ["held"]
-            assert resource_tracker.register is not real_register
-        finally:
-            release_first.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert attached == ["held", "second"]
-        # The load-bearing check: with interleaved attaches the real
-        # register is back afterwards.  Pre-fix, the second thread
-        # restored the first thread's no-op lambda instead.
-        assert resource_tracker.register is real_register
-
-
-class TestGiveUpReleasesSegments:
-    """Regression: give-up must unlink every in-flight shm segment.
-
-    Pre-fix, records failed by the give-up path kept their segments
-    until collect or ``close()``; a caller that (reasonably) stopped
-    collecting after the first RuntimeError leaked one ``/dev/shm``
-    block per outstanding task for the lifetime of a shared executor.
-    """
-
-    @staticmethod
-    def _track_allocations(ex, monkeypatch):
-        created = []
-        real_allocate = ex._allocate_shm
-
-        def tracking_allocate(result_shape):
-            segment = real_allocate(result_shape)
-            if segment is not None:
-                created.append(segment.name)
-            return segment
-
-        monkeypatch.setattr(ex, "_allocate_shm", tracking_allocate)
-        return created
-
-    def test_pool_failure_giveup_unlinks_all_segments(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        ex = ProcessExecutor(1, max_restarts=0, shm_min_bytes=1)
-        created = self._track_allocations(ex, monkeypatch)
+class TestGiveUp:
+    def test_pool_creation_failure_gives_up(self, monkeypatch):
+        # A machine that cannot fork burns a restart per failed launch
+        # and surfaces a RuntimeError instead of hanging the collector.
+        ex = ProcessExecutor(1, max_restarts=0)
 
         def broken_pool():
             raise RuntimeError("pool creation failed")
 
         monkeypatch.setattr(ex, "_ensure_pool", broken_pool)
         try:
-            ex.submit(_double, np.arange(64.0), result_shape=(64,))
-            ex.submit(_double, np.arange(64.0), result_shape=(64,))
-            assert len(created) == 2
-            # Nothing collected yet: give-up ran inside the failed
-            # launches and must already have unlinked both segments.
-            for name in created:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
+            ex.submit(_double, np.arange(64.0))
+            ex.submit(_double, np.arange(64.0))
             with pytest.raises(RuntimeError, match="giving up"):
                 ex.next_completed()
         finally:
             ex.close()
-
-    def test_crash_storm_giveup_unlinks_uncollected(
-        self, tmp_path, monkeypatch
-    ):
-        from multiprocessing import shared_memory
-
-        crash = tmp_path / "crash"
-        crash.write_text("100")
-        monkeypatch.setenv(CRASH_ENV, str(crash))
-        with ProcessExecutor(1, max_restarts=0, shm_min_bytes=1) as ex:
-            created = self._track_allocations(ex, monkeypatch)
-            ex.submit(_double, np.arange(64.0), result_shape=(64,))
-            ex.submit(_double, np.arange(64.0), result_shape=(64,))
-            assert len(created) == 2
-            with pytest.raises(RuntimeError, match="giving up"):
-                ex.next_completed()
-            # The second task's failure was never collected; its
-            # segment must be gone anyway — pre-fix it lingered until
-            # close().
-            for name in created:
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)

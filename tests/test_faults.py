@@ -12,13 +12,18 @@ The load-bearing guarantees:
   (corrupt cache entries) instead of wedging the sweep;
 * crash droppings — orphaned ``.sweep_tmp_*`` files, old quarantines —
   are reclaimed by sweep startup and ``cache prune``;
+* a ``pool.kill`` budget is shared by every worker whatever the start
+  method, and its crash file is gone once the driver exits;
 * ``RemoteExecutor.close()`` stays bounded even while a dial is stuck
   mid-handshake against an unresponsive host.
 """
 
 import json
+import multiprocessing
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -30,7 +35,6 @@ from repro.faults import (
     FAULT_PLAN_ENV,
     FAULT_SITES,
     FAULTS,
-    FaultError,
     FaultPlan,
     FaultRule,
     backoff_delays,
@@ -39,7 +43,8 @@ from repro.faults import (
     load_plan,
     retry_call,
 )
-from repro.obs import BUS, MemorySink, tracing
+from repro.faults import plan as plan_module
+from repro.obs import MemorySink, tracing
 from repro.sweep import (
     LoopbackWorker,
     RemoteExecutor,
@@ -56,8 +61,12 @@ from repro.sweep.cache import (
     load_result,
     save_result,
 )
-from repro.sweep.executor import CRASH_ENV, SerialExecutor
+from repro.sweep.executor import CRASH_ENV, ProcessExecutor, SerialExecutor
 from repro.sweep.runner import _execute_block
+
+SRC_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "src")
+)
 
 
 @pytest.fixture(autouse=True)
@@ -364,15 +373,51 @@ class TestChaosParity:
         assert os.environ.get(CRASH_ENV) is None
         assert_sweeps_equal(baseline, faulted)
 
-    def test_shm_attach_parity(self):
-        # Attach failures fall back to inline transport, worker-side.
+
+class TestPoolKillBudget:
+    """``pool.kill`` fires as often as the plan says, in one process tree."""
+
+    KILL_ONCE = json.dumps({"rules": [{"site": "pool.kill", "times": 1}]})
+
+    def test_spawned_workers_share_the_driver_budget(self, monkeypatch):
+        # Spawned workers start from a fresh interpreter.  A worker that
+        # loaded REPRO_FAULT_PLAN itself would arm its own crash file
+        # with the full budget, so every new worker would die and the
+        # pool would crash until it gave up.
         spec = small_spec()
         baseline = run_sweep(spec, cache=False)
-        with fault_plan(plan(rule("shm.attach"))):
-            faulted = run_sweep(
-                spec, cache=False, workers=2, backend="process"
-            )
+        monkeypatch.setenv(FAULT_PLAN_ENV, self.KILL_ONCE)
+        monkeypatch.setattr(plan_module, "_ENV_LOADED", False)
+        with ProcessExecutor(
+            2, mp_context=multiprocessing.get_context("spawn")
+        ) as ex:
+            faulted = run_sweep(spec, cache=False, executor=ex)
+            assert ex.restarts == 1
         assert_sweeps_equal(baseline, faulted)
+
+    def test_process_wide_plan_leaves_no_crash_file(self, tmp_path):
+        # A plan activated for the whole process is never deactivated;
+        # its crash file must still be gone once the interpreter exits.
+        script = (
+            "import os\n"
+            "from repro.sweep import SweepSpec, run_sweep\n"
+            "spec = SweepSpec(algorithm='nonuniform', distances=(8, 16),\n"
+            "                 ks=(1, 4), trials=20, seed=42)\n"
+            "run_sweep(spec, cache=False, workers=2, backend='process')\n"
+            f"print(os.environ[{CRASH_ENV!r}])\n"
+        )
+        env = dict(os.environ)
+        env.pop(CRASH_ENV, None)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env["TMPDIR"] = str(tmp_path)
+        env[FAULT_PLAN_ENV] = self.KILL_ONCE
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        crash_file = done.stdout.strip().splitlines()[-1]
+        assert os.path.dirname(crash_file) == str(tmp_path)  # it was armed
+        assert not list(tmp_path.glob("repro_fault_kill_*"))
 
 
 def _free_port():
