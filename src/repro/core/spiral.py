@@ -181,6 +181,19 @@ def spiral_hit_time_float_array(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     )
 
 
+def ring_entry_time_array(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Lower bound on the hit time, in float64: ``(2m - 1)^2`` for ring ``m``.
+
+    The spiral first enters L-inf ring ``m = max(|dx|, |dy|) >= 1`` at
+    exactly step ``(2m - 1)^2`` (at offset ``(m, 1 - m)``), so no offset
+    of that ring is hit earlier; the origin gives 0.  Cheaper than the
+    exact closed form, and float64 so far offsets cannot overflow.
+    """
+    ring = np.maximum(np.abs(dx), np.abs(dy))
+    reach = np.maximum(2.0 * ring - 1.0, 0.0)
+    return reach * reach
+
+
 def _position_after_odd_run(q: int) -> Tuple[int, int]:
     """Position after run ``2q + 1`` (an E- or W-run), ``q >= 0``."""
     if q % 2 == 0:

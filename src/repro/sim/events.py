@@ -17,10 +17,15 @@ This is exact in distribution — validated against the step engine by
 ``tests/test_engine_vs_events.py`` — and several orders of magnitude
 faster, which is what makes the paper-scale parameter sweeps feasible.
 
-:func:`simulate_find_times_stacked` runs many independent static-world
-simulations (the sweep runner's trial blocks) as one such pass per phase;
-each task's output is bitwise equal to its own :func:`simulate_find_times`
-call, whose static path is the kernel's one-task case.
+Every static-world simulation runs through one phase loop,
+:func:`simulate_find_times_stacked`.  Its :class:`StackedTask` is a set of
+worlds sharing one generator's excursion draws, and many independent
+tasks (the sweep runner's trial blocks) run as one NumPy pass per phase;
+each task's output is bitwise equal to its own lone call.
+:func:`simulate_find_times_batch` is the kernel's one-task case and the
+static path of :func:`simulate_find_times` its one-task, one-world case.
+Dynamic and multi-target worlds have their own phase loop, because they
+draw detection coins per target.
 
 :func:`excursion_find_time` is the scalar single-agent twin used for exact
 replay tests against the step engine: given the same RNG it consumes
@@ -33,13 +38,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..algorithms.base import ExcursionAlgorithm, ExcursionFamily
 from ..core.spiral import (
     SAFE_OFFSET,
+    ring_entry_time_array,
     spiral_hit_time,
     spiral_hit_time_array,
     spiral_hit_time_float_array,
@@ -359,12 +365,12 @@ def simulate_find_times(
     return simulate_find_times_stacked(
         [
             StackedTask(
-                algorithm, world, k, trials, seed, horizon=horizon,
+                algorithm, [world], k, trials, seed, horizon=horizon,
                 start_delays=start_delays, scenario=scenario,
             )
         ],
         max_phases=max_phases,
-    )[0]
+    )[0][0]
 
 
 def _block_seed(root_seed: SeedLike, distance: int, k: int, block: int) -> int:
@@ -376,16 +382,20 @@ def _block_seed(root_seed: SeedLike, distance: int, k: int, block: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class StackedTask:
-    """One static-world :func:`simulate_find_times` call of a stacked pass.
+    """One static-world simulation of a stacked pass.
 
-    The fields are that function's arguments; :meth:`for_block` builds the
-    task of one sweep block, seeded like :func:`simulate_find_times_block`.
-    That task holds the block's live generator (constructed, and so
-    traced, where ``for_block`` is called), so it runs once.
+    The fields are :func:`simulate_find_times_batch`'s arguments:
+    ``worlds`` (``World`` instances, ``(tx, ty)`` pairs or an ``(n, 2)``
+    integer array) share the task's excursion draws, and the task's
+    result is their ``(len(worlds), trials)`` find-time matrix.
+    :meth:`for_block` builds the one-world task of one sweep block, seeded
+    like :func:`simulate_find_times_block`.  That task holds the block's
+    live generator (constructed, and so traced, where ``for_block`` is
+    called), so it runs once.
     """
 
     algorithm: ExcursionAlgorithm
-    world: World
+    worlds: WorldsLike
     k: int
     trials: int
     seed: SeedLike = None
@@ -408,10 +418,37 @@ class StackedTask:
         scenario: Optional[ScenarioSpec] = None,
     ) -> "StackedTask":
         return cls(
-            algorithm, world, k, trials,
+            algorithm, [world], k, trials,
             make_rng(_block_seed(root_seed, distance, k, block)),
             horizon=horizon, scenario=scenario,
         )
+
+
+def _as_treasure_arrays(worlds: WorldsLike) -> np.ndarray:
+    """Normalise a worlds argument to an ``(n, 2)`` int64 treasure array.
+
+    Accepts a sequence of :class:`World` instances, a sequence of
+    ``(tx, ty)`` pairs, or an ``(n, 2)`` array.  Coordinates must be
+    integral: integer-valued floats are accepted, anything else raises
+    rather than being truncated to a different node.
+    """
+    if not isinstance(worlds, np.ndarray):
+        worlds = [w.treasure if isinstance(w, World) else tuple(w)
+                  for w in worlds]
+    pairs = np.asarray(worlds)
+    if pairs.dtype.kind == "f" and not np.all(
+        np.isfinite(pairs) & (pairs == np.floor(pairs))
+    ):
+        raise ValueError("treasure coordinates must be integers")
+    pairs = pairs.astype(np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
+        raise ValueError(
+            f"worlds must be a non-empty sequence of (tx, ty) pairs; "
+            f"got array of shape {pairs.shape}"
+        )
+    if np.any((pairs[:, 0] == 0) & (pairs[:, 1] == 0)):
+        raise ValueError("treasure must not be placed on the source")
+    return pairs
 
 
 def _resolve_draws(
@@ -435,18 +472,28 @@ def simulate_find_times_stacked(
 ) -> List[np.ndarray]:
     """Many independent static-world simulations as one NumPy pass per phase.
 
-    Returns one find-time array per task, each bitwise equal to
-    ``simulate_find_times(task.algorithm, task.world, task.k, task.trials,
-    task.seed, ...)`` run on its own.  The equality holds because every
-    task keeps its own generator and ``families()`` iterator and makes
-    exactly that call's RNG calls in exactly its order — the excursion
-    draw of :meth:`ExcursionFamily.draw`, then the outbound, spiral and
-    return detection coins — while everything without randomness is
-    elementwise and runs once over the union of the live tasks' slots:
-    resolving the draws to start nodes, the outbound/spiral/return hit
-    closed forms, the spiral end positions, and the ``best``/clock
-    updates.  A task leaves the union when none of its slots can improve
-    its result or its excursion stream ends.
+    Returns one ``(len(task.worlds), task.trials)`` find-time matrix per
+    task, each bitwise equal to ``simulate_find_times_batch(task.algorithm,
+    task.worlds, task.k, task.trials, task.seed, ...)`` run on its own (and
+    a one-world task's row to the matching :func:`simulate_find_times`
+    call).  The equality holds because every task keeps its own generator
+    and ``families()`` iterator and makes exactly that call's RNG calls in
+    exactly its order — the excursion draw of :meth:`ExcursionFamily.draw`,
+    then the outbound, spiral and return detection coins — while
+    everything without randomness is elementwise and runs once over the
+    union of the live tasks' slots: resolving the draws to start nodes,
+    the outbound/spiral/return hit closed forms, the spiral end positions,
+    and the ``best``/clock updates.
+
+    A task's worlds are resolved against its shared draws on a (most open
+    worlds of a live task) x (live draws) hit grid; a task with fewer open
+    worlds pads with its last one, whose hits land in that world's entry
+    again.  A slot (trial, agent) stays live while any of its task's
+    worlds still wants it, and a world leaves the grid once no clock can
+    improve it.  Finders keep advancing rather than parking: a hit is
+    never later than the end of its excursion, so later excursions never
+    undercut the ``best`` it set.  A task leaves the union when none of
+    its slots can improve its result or its excursion stream ends.
 
     The per-phase Python and NumPy-call overhead is then paid once per
     phase instead of once per task and phase, which is what dominates
@@ -457,12 +504,13 @@ def simulate_find_times_stacked(
         return []
     rngs: List[np.random.Generator] = []
     streams: List[Iterator[ExcursionFamily]] = []
-    cums, speed_rows, crash_rows, coin_qs = [], [], [], []
+    cums, speed_rows, crash_rows, coin_qs, treasures = [], [], [], [], []
     for task in tasks:
         if task.k < 1:
             raise ValueError(f"k must be >= 1, got {task.k}")
         if task.trials < 1:
             raise ValueError(f"trials must be >= 1, got {task.trials}")
+        treasures.append(_as_treasure_arrays(task.worlds))
         rng = make_rng(task.seed)
         cum = np.zeros((task.trials, task.k), dtype=np.float64)
         if task.start_delays is not None:
@@ -489,12 +537,11 @@ def simulate_find_times_stacked(
     trial_bounds = np.concatenate([[0], np.cumsum(trials)])
     cum = np.concatenate(cums)
     slot_trial = np.repeat(np.arange(trial_bounds[-1]), np.repeat(ks, trials))
+    trial_slots = np.concatenate([[0], np.cumsum(np.repeat(ks, trials))[:-1]])
     trial_cap = np.repeat(
         [np.inf if t.horizon is None else float(t.horizon) for t in tasks],
         trials,
     )
-    slot_cap = trial_cap[slot_trial]
-    best = np.full(int(trial_bounds[-1]), np.inf)
     slot_speed = None
     if any(row is not None for row in speed_rows):
         slot_speed = np.concatenate([
@@ -508,7 +555,24 @@ def simulate_find_times_stacked(
             for row, t in zip(crash_rows, tasks)
         ])
     lossy = any(q is not None for q in coin_qs)
-    treasures = np.array([t.world.treasure for t in tasks], dtype=np.int64)
+
+    # Worlds are numbered task by task; ``best`` holds one entry per
+    # (trial, world), the task's worlds contiguous within each trial.
+    n_worlds = np.array([len(pairs) for pairs in treasures])
+    treasure_x, treasure_y = np.concatenate(treasures).T
+    world_task = np.repeat(np.arange(len(tasks)), n_worlds)
+    world_bounds = np.concatenate([[0], np.cumsum(n_worlds)])
+    world_local = np.arange(world_bounds[-1]) - world_bounds[world_task]
+    trial_worlds = np.repeat(n_worlds, trials)
+    trial_entries = np.concatenate([[0], np.cumsum(trial_worlds)[:-1]])
+    entry_trial = np.repeat(np.arange(trial_bounds[-1]), trial_worlds)
+    entry_world = (
+        world_bounds[np.repeat(np.arange(len(tasks)), trials)][entry_trial]
+        + np.arange(entry_trial.size) - trial_entries[entry_trial]
+    )
+    entry_cap = trial_cap[entry_trial]
+    best = np.full(entry_trial.size, np.inf)
+    single_world = world_bounds[-1] == len(tasks)
 
     running = list(range(len(tasks)))
     for phase_index in itertools.count():
@@ -520,7 +584,9 @@ def simulate_find_times_stacked(
         if slot_crash is not None:
             # Crashed agents never move again; park their clocks at +inf.
             cum[cum >= slot_crash] = np.inf
-        active = cum < np.minimum(best[slot_trial], slot_cap)
+        # A slot is live while its trial's slowest world still wants it.
+        target = np.minimum(best, entry_cap)
+        active = cum < np.maximum.reduceat(target, trial_entries)[slot_trial]
         live_counts = np.add.reduceat(active, slot_bounds[:-1], dtype=np.intp)
 
         # Each task's RNG calls, in its own order: draw, then the coins.
@@ -551,9 +617,31 @@ def simulate_find_times_stacked(
         if not running:
             break
 
+        if single_world:
+            # World i is task i's only world, open while the task is live.
+            grid_world = np.array(live)[None, :]
+        else:
+            # A world is open while some clock of its trials is below its
+            # target; only open worlds of live tasks enter the hit grid.
+            floor = np.minimum.reduceat(cum, trial_slots)
+            open_worlds = np.flatnonzero(np.bincount(
+                entry_world[target > floor[entry_trial]],
+                minlength=world_bounds[-1],
+            ))
+            n_open = np.bincount(
+                world_task[open_worlds], minlength=len(tasks)
+            )[live]
+            first = np.cumsum(n_open) - n_open
+            grid_world = open_worlds[first + np.minimum(
+                np.arange(n_open.max())[:, None], n_open - 1
+            )]
+        if len(live) > 1:
+            grid_world = np.repeat(grid_world, counts, axis=1)
+        tx = treasure_x[grid_world]
+        ty = treasure_y[grid_world]
+
         slots = np.flatnonzero(active)
         ux, uy, budgets = _resolve_draws(families, draws)
-        tx, ty = np.repeat(treasures[live], counts, axis=0).T
         out_coin = sp_coin = ret_coin = None
         if lossy:
             out_coin, sp_coin, ret_coin = (
@@ -562,20 +650,31 @@ def simulate_find_times_stacked(
         start = cum[slots]
         travel = np.abs(ux) + np.abs(uy)
 
-        # Earliest hit within this excursion (inf when the excursion misses).
+        # Earliest hit per (open world, draw), inf when the excursion misses.
         out_mask, out_off = _outbound_hit_offsets(ux, uy, tx, ty)
         if out_coin is not None:
             out_mask = out_mask & out_coin
         hit_offset = np.where(out_mask, out_off, np.inf)
 
-        spiral_hit = _hit_times(tx - ux, ty - uy)
-        sp_mask = spiral_hit <= budgets
-        if sp_coin is not None:
-            sp_mask = sp_mask & sp_coin
-        np.minimum(
-            hit_offset, np.where(sp_mask, travel + spiral_hit, np.inf),
-            out=hit_offset,
+        # Spiral hits are possible only where the budget reaches the
+        # treasure's L-inf ring, so entries whose ring is entered after
+        # the budget are pruned before evaluating the (more expensive)
+        # exact closed form.  The tiny relative slack keeps the float
+        # pre-check conservative.
+        dx = tx - ux
+        dy = ty - uy
+        cand_w, cand_s = np.nonzero(
+            ring_entry_time_array(dx, dy) * (1.0 - 1e-12) <= budgets
         )
+        if cand_w.size:
+            spiral_hit = _hit_times(dx[cand_w, cand_s], dy[cand_w, cand_s])
+            sp_mask = spiral_hit <= budgets[cand_s]
+            if sp_coin is not None:
+                sp_mask = sp_mask & sp_coin[cand_s]
+            hit_offset[cand_w, cand_s] = np.minimum(
+                hit_offset[cand_w, cand_s],
+                np.where(sp_mask, travel[cand_s] + spiral_hit, np.inf),
+            )
 
         dx_end, dy_end = spiral_position_array(budgets)
         ex = ux + dx_end
@@ -591,28 +690,38 @@ def simulate_find_times_stacked(
 
         # Offsets are step counts; wall-clock conversion divides by speed.
         speed = slot_speed[slots] if slot_speed is not None else None
-        if speed is not None:
-            hit_wall = start + hit_offset / speed
-        else:
-            hit_wall = start + hit_offset
-        found = np.isfinite(hit_offset)
-        if slot_crash is not None:
-            # A hit after the agent's crash time never happens.
-            found &= hit_wall <= slot_crash[slots]
-        if np.any(found):
-            np.minimum.at(best, slot_trial[slots[found]], hit_wall[found])
-            # Finders stop searching; park their clocks at +inf.
-            cum[slots[found]] = np.inf
+        w_sub, s_idx = np.nonzero(np.isfinite(hit_offset))
+        if w_sub.size:
+            hit_wall = hit_offset[w_sub, s_idx]
+            if speed is not None:
+                hit_wall = hit_wall / speed[s_idx]
+            hit_wall = start[s_idx] + hit_wall
+            found = slots[s_idx]
+            world = np.broadcast_to(grid_world, hit_offset.shape)[w_sub, s_idx]
+            if slot_crash is not None:
+                # A hit after the agent's crash time never happens.
+                alive = hit_wall <= slot_crash[found]
+                hit_wall, found, world = (
+                    hit_wall[alive], found[alive], world[alive]
+                )
+            np.minimum.at(
+                best,
+                trial_entries[slot_trial[found]] + world_local[world],
+                hit_wall,
+            )
 
-        not_found = ~found
         duration = travel + budgets + np.abs(ex) + np.abs(ey)
         if speed is not None:
             duration = duration / speed
-        cum[slots[not_found]] = start[not_found] + duration[not_found]
+        cum[slots] = start + duration
 
-    best[best > trial_cap] = np.inf
+    best[best > entry_cap] = np.inf
+    entry_bounds = trial_entries[trial_bounds[:-1]]
     return [
-        best[lo:hi] for lo, hi in zip(trial_bounds[:-1], trial_bounds[1:])
+        np.ascontiguousarray(
+            best[lo:lo + t.trials * w].reshape(t.trials, w).T
+        )
+        for lo, t, w in zip(entry_bounds, tasks, n_worlds)
     ]
 
 
@@ -652,32 +761,6 @@ def simulate_find_times_block(
     )
 
 
-def _as_treasure_arrays(worlds: WorldsLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalise a worlds argument to ``(tx, ty)`` int64 column vectors.
-
-    Accepts a sequence of :class:`World` instances, a sequence of
-    ``(tx, ty)`` pairs, or an ``(n, 2)`` integer array.  The returned arrays
-    have shape ``(n, 1)`` so that broadcasting against ``(draws,)`` excursion
-    arrays yields ``(n, draws)`` hit grids.
-    """
-    if isinstance(worlds, np.ndarray):
-        pairs = worlds
-    else:
-        seq: Iterable = worlds
-        pairs = np.asarray(
-            [w.treasure if isinstance(w, World) else tuple(w) for w in seq]
-        )
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 1:
-        raise ValueError(
-            f"worlds must be a non-empty sequence of (tx, ty) pairs; "
-            f"got array of shape {pairs.shape}"
-        )
-    if np.any((pairs[:, 0] == 0) & (pairs[:, 1] == 0)):
-        raise ValueError("treasure must not be placed on the source")
-    return pairs[:, 0:1], pairs[:, 1:2]
-
-
 def simulate_find_times_batch(
     algorithm: ExcursionAlgorithm,
     worlds: WorldsLike,
@@ -693,9 +776,11 @@ def simulate_find_times_batch(
     """First find times for many worlds at once, sharing excursion draws.
 
     The batched twin of :func:`simulate_find_times`: ``worlds`` is a
-    sequence of treasure positions (``World`` instances or ``(tx, ty)``
-    pairs) and the result has shape ``(len(worlds), trials)`` — row ``w``
-    holds the per-trial first find times for world ``w``.
+    sequence of treasure positions (``World`` instances, ``(tx, ty)``
+    pairs or an ``(n, 2)`` integer array) and the result has shape
+    ``(len(worlds), trials)`` — row ``w`` holds the per-trial first find
+    times for world ``w``.  It is the one-task case of
+    :func:`simulate_find_times_stacked`.
 
     Each phase's ``trials x k`` excursion draws are sampled **once** and
     resolved against every world by broadcasting to a
@@ -710,9 +795,7 @@ def simulate_find_times_batch(
 
     An agent keeps drawing excursions while *any* world still needs it
     (different worlds find at different times); per-world ``best`` clocks
-    record each world's first find, and later excursions of an agent that
-    already found in some world can never improve that world's ``best``
-    because a hit is never later than the end of its excursion.
+    record each world's first find.
 
     ``horizon``, ``max_phases``, ``start_delays`` and ``scenario`` behave
     exactly as in :func:`simulate_find_times`; the horizon is shared by all
@@ -722,136 +805,15 @@ def simulate_find_times_batch(
     preserved and the single-world bitwise-twin contract holds under any
     scenario.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    tx, ty = _as_treasure_arrays(worlds)
-    n_worlds = tx.shape[0]
-    rng = make_rng(seed)
-    scn = resolve_scenario(scenario)
-
-    cum = np.zeros((trials, k), dtype=np.float64)
-    if start_delays is not None:
-        delays = np.asarray(start_delays, dtype=np.float64)
-        if np.any(delays < 0):
-            raise ValueError("start delays must be non-negative")
-        cum = cum + np.broadcast_to(delays, (trials, k))
-    cum, speeds, crash_abs, q = _scenario_state(scn, k, trials, cum, rng)
-    best = np.full((n_worlds, trials), np.inf)
-    cap = np.inf if horizon is None else float(horizon)
-
-    families = algorithm.families()
-    for phase_index in itertools.count():
-        if phase_index >= max_phases:
-            raise RuntimeError(
-                f"simulation exceeded max_phases={max_phases}; "
-                f"pass a horizon or raise the cap"
+    return simulate_find_times_stacked(
+        [
+            StackedTask(
+                algorithm, worlds, k, trials, seed, horizon=horizon,
+                start_delays=start_delays, scenario=scenario,
             )
-        if crash_abs is not None:
-            # Crashed slots never move again (crashes are world-independent,
-            # so parking keeps the clocks world-independent too).
-            cum[cum >= crash_abs] = np.inf
-        # A slot (trial, agent) is live while the slowest world still wants
-        # it: cum < min(best[w], cap) for some w.
-        targets = np.minimum(best, cap)
-        active = cum < targets.max(axis=0)[:, None]
-        if not np.any(active):
-            break
-        family = next(families, None)
-        if family is None:
-            break
-
-        # A world is *open* while some slot can still improve it; resolving
-        # hit grids only for open worlds matches the scalar engine's
-        # stopping rule per world and keeps late phases (where only the
-        # slowest worlds remain) cheap.
-        open_worlds = np.nonzero(
-            (targets > cum.min(axis=1)[None, :]).any(axis=1)
-        )[0]
-        txo = tx[open_worlds]
-        tyo = ty[open_worlds]
-
-        rows, cols = np.nonzero(active)
-        count = rows.size
-        ux, uy, budgets = family.sample(rng, count)
-        start = cum[rows, cols]
-        travel = np.abs(ux) + np.abs(uy)
-
-        # Earliest hit per (open world, draw), inf when the excursion misses.
-        # Detection coins are drawn once per draw and shared across worlds
-        # (common random numbers, like the excursion draws themselves):
-        # per-world marginals are exact Bernoulli(q) per crossing, and with
-        # a single world the coin stream is bitwise identical to the
-        # scalar engine's.
-        out_mask, out_off = _outbound_hit_offsets(ux, uy, txo, tyo)
-        if q is not None:
-            out_mask = out_mask & (rng.random(count) < q)
-        hit_offset = np.where(out_mask, out_off.astype(np.float64), np.inf)
-
-        # Spiral hits are possible only where the budget reaches the
-        # treasure: the spiral first enters L-inf ring m at exactly
-        # (2m - 1)^2 steps, so entries with (2m - 1)^2 > budget are pruned
-        # before evaluating the (more expensive) exact closed form.  The
-        # tiny relative slack keeps the float pre-check conservative.
-        dxg = txo - ux
-        dyg = tyo - uy
-        reach = np.maximum(
-            2.0 * np.maximum(np.abs(dxg), np.abs(dyg)) - 1.0, 0.0
-        )
-        cand_w, cand_s = np.nonzero(reach * reach * (1.0 - 1e-12) <= budgets)
-        # The spiral coin stream must stay draw-indexed (one coin per draw,
-        # drawn whether or not the draw is a candidate anywhere) to keep
-        # the scalar engine's consumption order.
-        sp_coins = (rng.random(count) < q) if q is not None else None
-        if cand_w.size:
-            spiral_hit = _hit_times(dxg[cand_w, cand_s], dyg[cand_w, cand_s])
-            cand_budgets = budgets[cand_s]
-            sp_mask = spiral_hit <= cand_budgets
-            if sp_coins is not None:
-                sp_mask = sp_mask & sp_coins[cand_s]
-            sp_time = np.where(sp_mask, travel[cand_s] + spiral_hit, np.inf)
-            hit_offset[cand_w, cand_s] = np.minimum(
-                hit_offset[cand_w, cand_s], sp_time
-            )
-
-        dx_end, dy_end = spiral_position_array(budgets)
-        ex = ux + dx_end
-        ey = uy + dy_end
-        ret_mask, ret_off = _return_hit_offsets(ex, ey, txo, tyo)
-        if q is not None:
-            ret_mask = ret_mask & (rng.random(count) < q)
-        ret_time = travel + budgets + ret_off
-        np.minimum(hit_offset, np.where(ret_mask, ret_time, np.inf),
-                   out=hit_offset)
-
-        speed = speeds[cols] if speeds is not None else None
-        w_sub, s_idx = np.nonzero(np.isfinite(hit_offset))
-        if w_sub.size:
-            if speed is not None:
-                find_times = start[s_idx] + hit_offset[w_sub, s_idx] / speed[s_idx]
-            else:
-                find_times = start[s_idx] + hit_offset[w_sub, s_idx]
-            if crash_abs is not None:
-                # Hits after the slot's crash time never happen, in any world.
-                alive = find_times <= crash_abs[rows[s_idx], cols[s_idx]]
-                w_sub, s_idx = w_sub[alive], s_idx[alive]
-                find_times = find_times[alive]
-        if w_sub.size:
-            w_idx = open_worlds[w_sub]
-            np.minimum.at(best.ravel(), w_idx * trials + rows[s_idx], find_times)
-
-        # Unlike the scalar engine, finders are not parked: whether a draw
-        # found is world-dependent.  Advancing every live slot by the full
-        # excursion duration is safe (see docstring) and keeps the clocks
-        # world-independent.
-        duration = travel + budgets + np.abs(ex) + np.abs(ey)
-        if speed is not None:
-            duration = duration / speed
-        cum[rows, cols] = start + duration
-
-    best[best > cap] = np.inf
-    return best
+        ],
+        max_phases=max_phases,
+    )[0]
 
 
 def excursion_find_time(

@@ -1,4 +1,4 @@
-"""Batched walker engine: vectorised memoryless baselines (engine 4).
+"""Batched walker engine: vectorised memoryless baselines (engine 3).
 
 The non-excursion baselines — simple random walks, correlated (persistent)
 walks, and Lévy flights — have no excursion structure, so the excursion
@@ -767,13 +767,14 @@ def walker_find_times_batch(
     """Per-world find-time matrix, shape ``(len(worlds), trials)``.
 
     The sweep-facing twin of :func:`walker_find_times` (the walker
-    counterpart of :func:`repro.sim.events.simulate_find_times_batch`):
+    counterpart of :func:`repro.sim.events.simulate_find_times_batch`,
+    the excursion kernel's multi-world entry point):
     world ``w`` is simulated with the ``w``-th child of ``seed``
     (:func:`repro.sim.rng.spawn_seeds`), so each row is bitwise identical
     to a direct :meth:`Walker.find_times` call with that child seed —
     independent of how worlds are distributed across sweep workers.
 
-    Unlike the excursion batch engine, draws are *not* shared across
+    Unlike the excursion kernel's world sets, draws are *not* shared across
     worlds: a walker's trajectory has ``horizon`` steps of state, so
     cross-world sharing would couple entire paths rather than pairing
     noise, and the chunked simulators are already within a small factor

@@ -16,9 +16,10 @@ which is what the experiments do.
    a hit returns immediately, which is what makes repeated experiment runs
    and quick/full mode switches cheap;
 2. on a miss, each ``k``-group of the grid resolves via the batched
-   engines — :func:`repro.sim.events.simulate_find_times_batch` for
-   excursion algorithms (sharing every phase's excursion draws across
-   the group) or per-world-seeded walker rows for walker baselines.
+   engines — :func:`repro.sim.events.simulate_find_times_batch` (one
+   multi-world task of the stacked excursion kernel, sharing every
+   phase's excursion draws across the group) for excursion algorithms,
+   or per-world-seeded walker rows for walker baselines.
    Groups whose distance axis exceeds
    :data:`repro.sweep.spec.FIXED_CHUNK_THRESHOLD` split into
    deterministic chunks (:func:`repro.sweep.spec.group_chunks`) so a
@@ -645,7 +646,7 @@ def _execute_pack(payload) -> np.ndarray:
     for position, times in zip(
         stacked_at, simulate_find_times_stacked(stacked)
     ):
-        parts[position] = times
+        parts[position] = times[0]
     return np.concatenate(parts)
 
 

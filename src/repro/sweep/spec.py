@@ -9,16 +9,18 @@ serialisable data.  Two properties follow from that:
   keys the on-disk result cache: the same spec always maps to the same
   file, and any change to any knob maps to a different one;
 * the spec can be shipped to a worker process verbatim, which is what the
-  :func:`repro.sweep.runner.run_sweep` multiprocessing pool does.
+  executor backends of :func:`repro.sweep.runner.run_sweep` do.
 
 Execution is organised in *groups*: all distances that share a ``k`` form
 one group.  Excursion algorithms resolve a group with a single
-:func:`repro.sim.events.simulate_find_times_batch` call that shares each
+:func:`repro.sim.events.simulate_find_times_batch` call — one multi-world
+task of the stacked excursion kernel — that shares each
 phase's excursion draws across the group's worlds (common random numbers —
 per-cell means stay unbiased while cross-distance comparisons see paired
 noise); walker baselines (:mod:`repro.sim.walkers`) resolve it with
 :func:`repro.sim.walkers.walker_find_times_batch`, one child seed per
-world.  The runner dispatches on the built strategy's type.
+world.  The runner picks the engine with
+:func:`repro.sim.protocol.engine_for` on the built strategy.
 """
 
 from __future__ import annotations

@@ -161,6 +161,26 @@ class TestValidation:
                 NonUniformSearch(k=1), [(0, 0), (3, 1)], 1, 5, seed=0
             )
 
+    def test_rejects_non_integral_treasures(self):
+        # Truncating would silently simulate a different node; for
+        # [[0.4, 0.2]] it would land on the source.
+        for worlds in (np.array([[2.5, 0.0]]), [(0.4, 0.2)], [(3, np.nan)]):
+            with pytest.raises(ValueError, match="integers"):
+                simulate_find_times_batch(
+                    NonUniformSearch(k=1), worlds, 1, 5, seed=0
+                )
+        with pytest.raises(ValueError, match="integers"):
+            simulate_find_times(NonUniformSearch(k=1), World((2.7, 0)), 1, 5)
+
+    def test_accepts_integer_valued_floats(self):
+        floats = simulate_find_times_batch(
+            NonUniformSearch(k=2), np.array([[5.0, -3.0]]), 2, 20, seed=4
+        )
+        ints = simulate_find_times_batch(
+            NonUniformSearch(k=2), [(5, -3)], 2, 20, seed=4
+        )
+        assert np.array_equal(floats, ints)
+
     def test_max_phases_guard(self):
         worlds = [place_treasure(10**6, "corner")]
         with pytest.raises(RuntimeError):

@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spiral import (
+    SAFE_OFFSET,
     best_hit_time_at_distance,
     coverage_radius,
+    ring_entry_time_array,
     spiral_cells,
     spiral_hit_time,
     spiral_hit_time_array,
+    spiral_hit_time_float_array,
     spiral_position,
     spiral_position_array,
     spiral_steps,
@@ -190,3 +193,45 @@ class TestHitTimeProperties:
         d = abs(x) + abs(y)
         t = spiral_hit_time(x, y)
         assert best_hit_time_at_distance(d) <= t <= worst_hit_time_at_distance(d)
+
+
+class TestRingEntryBound:
+    """The excursion kernel prunes spiral hits with ``ring_entry_time_array``
+    before the exact closed form, so the bound must never exceed a hit time."""
+
+    def test_exact_bound_and_equality_at_ring_entries(self):
+        r = 512
+        dx, dy = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1))
+        hit = spiral_hit_time_array(dx, dy)
+        bound = ring_entry_time_array(dx, dy)
+        ring = np.maximum(np.abs(dx), np.abs(dy))
+        assert np.array_equal(bound, np.maximum(2 * ring - 1, 0) ** 2)
+        assert np.all(hit >= bound)
+        # Equality exactly at the origin and at each ring's first cell
+        # (m, 1 - m).
+        m = np.arange(1, r + 1)
+        tight = np.zeros(dx.shape, dtype=bool)
+        tight[r, r] = True
+        tight[r + 1 - m, r + m] = True  # row = dy + r, column = dx + r
+        assert np.array_equal(hit == bound, tight)
+        assert np.array_equal(
+            spiral_hit_time_array(m, 1 - m), (2 * m - 1) ** 2
+        )
+
+    @given(
+        ring=st.integers(SAFE_OFFSET - 2**16, 2**40),
+        along=st.floats(-1.0, 1.0),
+        side=st.integers(0, 3),
+    )
+    @settings(max_examples=300)
+    def test_float_path_bound_with_slack(self, ring, along, side):
+        # Far offsets resolve through the float closed form; the
+        # kernel's 1 - 1e-12 slack must keep the pruning conservative,
+        # including at the ring's first cell where the two are equal.
+        other = int(along * ring)
+        dx, dy = [(ring, other), (other, ring), (-ring, other),
+                  (other, -ring)][side]
+        for x, y in ((dx, dy), (ring, 1 - ring)):
+            x, y = np.array([x]), np.array([y])
+            hit = spiral_hit_time_float_array(x, y)
+            assert np.all(ring_entry_time_array(x, y) * (1.0 - 1e-12) <= hit)

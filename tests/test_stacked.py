@@ -2,8 +2,10 @@
 
 ``simulate_find_times_stacked`` runs many static-world simulations as one
 NumPy pass per phase.  Its contract is per task: each task's times equal
-the lone ``simulate_find_times_block`` call bit for bit, whatever else
-shares the pass.  ``_execute_pack`` builds on it, so a pack sweep must
+its lone call bit for bit, whatever else shares the pass — a one-world
+block task's row equals ``simulate_find_times_block``, and a multi-world
+task's matrix equals ``simulate_find_times_batch`` over the same worlds.
+``_execute_pack`` builds on it, so a pack sweep must
 equal the per-block reference on every backend, traced or not, and
 under injected worker kills.
 """
@@ -24,9 +26,11 @@ from repro.scenarios import ScenarioSpec
 from repro.sim.events import (
     StackedTask,
     simulate_find_times,
+    simulate_find_times_batch,
     simulate_find_times_block,
     simulate_find_times_stacked,
 )
+from repro.sim.rng import derive_seed
 from repro.sim.walkers import walker_find_times_block
 from repro.sim.world import World, WorldSpec, place_treasure
 from repro.stats import BudgetPolicy
@@ -59,31 +63,58 @@ SCENARIOS = {
     ),
 }
 
-#: One block of a pack: (distance, k, block index, trials).
+#: One task of a pack: (distance, k, block index, trials, world count).
 blocks_st = st.tuples(
     st.sampled_from((2, 5, 8, 16, 24)),
     st.sampled_from((1, 2, 4, 8)),
     st.integers(0, 4),
     st.sampled_from((1, 7, 32)),
+    st.sampled_from((1, 1, 2, 5)),
 )
 
 
+def _worlds(distance, n_worlds):
+    """``n_worlds`` treasures around ``distance``; any two or more repeat one."""
+    distances = (distance, distance, distance + 3, 2 * distance, 1)
+    return [
+        place_treasure(d, "offaxis", seed=d) for d in distances[:n_worlds]
+    ]
+
+
 def _pairs(algorithm, blocks, seed, horizon=None, scenario=None):
-    """(stacked task, per-block reference) for each block of a pack."""
+    """(stacked task, lone-call reference) for each task of a pack.
+
+    One-world tasks are sweep blocks, checked against
+    ``simulate_find_times_block``; multi-world tasks are checked against
+    ``simulate_find_times_batch`` with the same seed.
+    """
     pairs = []
-    for distance, k, block, trials in blocks:
+    for distance, k, block, trials, *n_worlds in blocks:
+        n_worlds = n_worlds[0] if n_worlds else 1
         strategy = build_algorithm(algorithm, k, {})
-        world = place_treasure(distance, "offaxis", seed=distance)
-        kwargs = dict(
-            distance=distance, block=block, horizon=horizon,
-            scenario=scenario,
-        )
-        task = StackedTask.for_block(
-            strategy, world, k, trials, seed, **kwargs
-        )
-        reference = simulate_find_times_block(
-            strategy, world, k, trials, seed, **kwargs
-        )
+        if n_worlds == 1:
+            world = place_treasure(distance, "offaxis", seed=distance)
+            kwargs = dict(
+                distance=distance, block=block, horizon=horizon,
+                scenario=scenario,
+            )
+            task = StackedTask.for_block(
+                strategy, world, k, trials, seed, **kwargs
+            )
+            reference = simulate_find_times_block(
+                strategy, world, k, trials, seed, **kwargs
+            )[None, :]
+        else:
+            worlds = _worlds(distance, n_worlds)
+            task_seed = derive_seed(seed, distance, k, block)
+            task = StackedTask(
+                strategy, worlds, k, trials, task_seed, horizon=horizon,
+                scenario=scenario,
+            )
+            reference = simulate_find_times_batch(
+                strategy, worlds, k, trials, task_seed, horizon=horizon,
+                scenario=scenario,
+            )
         pairs.append((task, reference))
     return pairs
 
@@ -94,6 +125,7 @@ def assert_stacked_matches(pairs):
     assert len(out) == len(pairs)
     for got, (_, reference) in zip(out, pairs):
         assert got.dtype == reference.dtype
+        assert got.shape == reference.shape
         assert np.array_equal(got, reference)
 
 
@@ -122,6 +154,26 @@ class TestStackedKernel:
             scenario=SCENARIOS[knob],
         )
         assert_stacked_matches(pairs)
+
+    @pytest.mark.parametrize("horizon", [None, 4000.0])
+    @pytest.mark.parametrize("knob", [None, *sorted(SCENARIOS)])
+    def test_multi_world_tasks_in_mixed_packs(self, knob, horizon):
+        # Worlds of different tasks never mix: one- and multi-world
+        # tasks (with repeated worlds) of several algorithms share the
+        # pass, and each equals its lone call.
+        scenario = SCENARIOS[knob] if knob else None
+        pairs = []
+        for index, (algorithm, n_worlds) in enumerate([
+            ("nonuniform", 5), ("uniform", 1), ("harmonic", 2),
+            ("nonuniform_scaled", 5), ("nonuniform", 2), ("uniform", 1),
+        ]):
+            pairs += _pairs(
+                algorithm,
+                [(6 + 2 * index, 1 + index % 4, index % 3, 16, n_worlds)],
+                seed=index, horizon=horizon, scenario=scenario,
+            )
+        assert_stacked_matches(pairs)
+        assert [len(task.worlds) for task, _ in pairs] == [5, 1, 2, 5, 2, 1]
 
     def test_mixed_scenarios_and_algorithms_in_one_pass(self):
         # Lossy next to perfect detection, speeds next to unit speeds,
@@ -172,7 +224,7 @@ class TestStackedKernel:
         )
         far_ref = simulate_find_times_block(
             strategy, far, 4, 32, 9, distance=1, block=0
-        )
+        )[None, :]
         pairs = [(far_task, far_ref)]
         pairs += _pairs("harmonic", [(8, 4, 2, 32)], seed=9)
         assert_stacked_matches(pairs)
@@ -182,17 +234,17 @@ class TestStackedKernel:
         world = place_treasure(12, "offaxis", seed=1)
         delays = np.array([0.0, 7.0, 40.0])
         got = simulate_find_times_stacked([
-            StackedTask(algorithm, world, 3, 16, 4, start_delays=delays),
-            StackedTask(algorithm, world, 3, 16, 5),
+            StackedTask(algorithm, [world], 3, 16, 4, start_delays=delays),
+            StackedTask(algorithm, [world], 3, 16, 5),
         ])
         assert np.array_equal(
-            got[0],
+            got[0][0],
             simulate_find_times(
                 algorithm, world, 3, 16, 4, start_delays=delays
             ),
         )
         assert np.array_equal(
-            got[1], simulate_find_times(algorithm, world, 3, 16, 5)
+            got[1][0], simulate_find_times(algorithm, world, 3, 16, 5)
         )
 
     def test_validation_and_limits(self):
@@ -200,19 +252,22 @@ class TestStackedKernel:
         world = place_treasure(8, "offaxis", seed=0)
         assert simulate_find_times_stacked([]) == []
         with pytest.raises(ValueError, match="k must be"):
-            simulate_find_times_stacked([StackedTask(algorithm, world, 0, 4)])
+            simulate_find_times_stacked([StackedTask(algorithm, [world], 0, 4)])
         with pytest.raises(ValueError, match="trials must be"):
-            simulate_find_times_stacked([StackedTask(algorithm, world, 2, 0)])
+            simulate_find_times_stacked([StackedTask(algorithm, [world], 2, 0)])
         with pytest.raises(ValueError, match="non-negative"):
             simulate_find_times_stacked([
                 StackedTask(
-                    algorithm, world, 2, 4, start_delays=np.array([-1.0, 0.0])
+                    algorithm, [world], 2, 4,
+                    start_delays=np.array([-1.0, 0.0]),
                 )
             ])
+        with pytest.raises(ValueError, match="non-empty"):
+            simulate_find_times_stacked([StackedTask(algorithm, [], 2, 4)])
         with pytest.raises(RuntimeError, match="max_phases"):
             simulate_find_times_stacked(
                 [StackedTask(build_algorithm("uniform", 1, {}),
-                             place_treasure(64, "offaxis", seed=0), 1, 8, 0)],
+                             [place_treasure(64, "offaxis", seed=0)], 1, 8, 0)],
                 max_phases=2,
             )
         with pytest.raises(ValueError, match="block index"):
