@@ -640,6 +640,11 @@ def _cmd_sweep(args) -> int:
     from .sweep.executor import make_executor, resolve_workers
     from .experiments.io import ResultTable
 
+    if args.resume and args.no_cache:
+        raise SystemExit(
+            "--resume reads the checkpoint journal in the cache; "
+            "it cannot run with --no-cache"
+        )
     if args.algorithm not in ALGORITHM_BUILDERS:
         known = ", ".join(sorted(ALGORITHM_BUILDERS))
         raise SystemExit(

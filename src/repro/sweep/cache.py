@@ -1,23 +1,32 @@
-"""On-disk result cache for sweeps: v1 full-matrix entries + v2 block stores.
+"""On-disk result cache for sweeps: two entry layouts, one reader.
 
-Two entry formats share one directory:
+Three kinds of entry share one directory, in two layouts:
 
 * **v1 — full-matrix entries** (``sweep_<algorithm>_<spec_hash>.npz``):
   one fixed-trials sweep = one file keyed by the spec's content hash,
-  holding the complete ``(cells, trials)`` find-time matrix plus a JSON
-  metadata record (the spec dict and the cell list).  This is the format
-  every release has written; fixed-budget sweeps still write it, so old
-  entries keep hitting (v1 read compatibility is a contract, enforced by
+  holding the complete ``(cells, trials)`` find-time matrix as ``times``
+  plus a JSON metadata record (the spec dict and the ``[distance, k]``
+  cell list).  This is the format every release has written; fixed-budget
+  sweeps still write it, so old entries keep hitting (v1 read
+  compatibility is a contract, enforced by
   ``tests/test_adaptive_sweep.py``).
 
-* **v2 — block stores** (``blocks_<algorithm>_<data_hash>.npz``): the
-  adaptive runner's append-only cache, keyed by the spec's *data* hash
-  (:meth:`repro.sweep.spec.SweepSpec.data_hash` — everything that fixes
-  block content, nothing that fixes allocation).  A store holds one 1-D
-  time array per cell ever simulated under that data identity; cells
-  accumulate across runs, across grids, and across precision targets, so
-  a 200-trial cell tops up to 1000 by appending blocks rather than
-  recomputing.  ``format: 2`` in the metadata marks the layout.
+* **The cell layout** — metadata with ``cells: [[distance, k, trials],
+  ...]`` and one 1-D ``times_<i>`` array per cell — holds two kinds:
+
+  - **block stores** (``blocks_<algorithm>_<data_hash>.npz``,
+    ``format: 2``): the adaptive runner's append-only cache, keyed by the
+    spec's *data* hash (:meth:`repro.sweep.spec.SweepSpec.data_hash` —
+    everything that fixes block content, nothing that fixes allocation).
+    Cells accumulate across runs, grids and precision targets, so a
+    200-trial cell tops up to 1000 by appending blocks rather than
+    recomputing;
+  - **checkpoint journals** (``journal_<algorithm>_<spec_hash>.npz``,
+    ``format: "journal"``): the finished cells of a running fixed-path
+    sweep, keyed by the full spec, deleted once the v1 entry is written.
+
+Every read goes through :func:`_read_entry`, which runs the fault seam,
+opens the archive, parses the metadata and quarantines broken entries.
 
 Storing raw times rather than summary statistics means cached sweeps can
 answer *new* questions (quantiles, success rates under a different
@@ -41,7 +50,7 @@ import time
 import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -117,6 +126,14 @@ STALE_FILE_SECONDS = 300.0
 
 CellKey = Tuple[int, int]
 
+T = TypeVar("T")
+
+#: What reading broken entry content raises: a bad zip, a missing
+#: member, metadata that is not a JSON object, a cell list that does not
+#: parse.  :func:`_read_entry` quarantines such entries and
+#: :func:`list_entries` reports them as ``unreadable``.
+_BROKEN = (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile)
+
 
 def _quarantine(path: str, kind: str) -> bool:
     """Rename a corrupt entry aside so the slot can be rebuilt cleanly.
@@ -164,27 +181,20 @@ def load_result(
     a hash collision or a hand-edited file can never smuggle in results for
     a different sweep.
     """
-    loaded = None
-    try:
-        if FAULTS.enabled:
-            _check_read_faults()
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            times = np.asarray(archive["times"], dtype=np.float64)
-    except OSError:
-        # Missing file or transient I/O (incl. injected read errors):
-        # a plain miss, recomputed — never quarantined.
-        meta, times = None, None
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile):
-        # The file is present but its content is broken: quarantine it
-        # so the slot rebuilds instead of re-failing every lookup.
-        meta, times = None, None
-        if os.path.exists(path):
-            _quarantine(path, kind="sweep")
-    if meta is not None and meta.get("spec") == spec.to_dict():
-        cells = [SweepCell(distance=d, k=k) for d, k in meta.get("cells", [])]
-        if times.ndim == 2 and times.shape == (len(cells), spec.trials):
-            loaded = (cells, times)
+
+    def parse(meta: Dict, archive) -> Optional[Tuple[List[SweepCell], np.ndarray]]:
+        if meta.get("spec") != spec.to_dict():
+            return None
+        cells = [
+            SweepCell(distance=int(d), k=int(k))
+            for d, k in meta.get("cells", [])
+        ]
+        times = np.asarray(archive["times"], dtype=np.float64)
+        if times.shape != (len(cells), spec.trials):
+            return None
+        return cells, times
+
+    loaded = _read_entry(path, "sweep", parse)
     if BUS.enabled:
         if loaded is None:
             BUS.counter("cache.miss", kind="sweep", algorithm=spec.algorithm)
@@ -240,28 +250,13 @@ def load_blocks(spec: SweepSpec, path: str) -> Dict[CellKey, np.ndarray]:
 
 def _load_blocks(spec: SweepSpec, path: str) -> Dict[CellKey, np.ndarray]:
     """:func:`load_blocks` without the cache hit/miss accounting."""
-    out: Dict[CellKey, np.ndarray] = {}
-    try:
-        if FAULTS.enabled:
-            _check_read_faults()
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("format") != 2:
-                return {}
-            if meta.get("data") != spec.data_dict():
-                return {}
-            for index, (distance, k, trials) in enumerate(meta.get("cells", [])):
-                times = np.asarray(archive[f"times_{index}"], dtype=np.float64)
-                if times.ndim != 1 or times.size != trials:
-                    continue  # truncated entry; drop just this cell
-                out[(int(distance), int(k))] = times
-    except OSError:
-        return {}  # missing or transiently unreadable: plain miss
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile):
-        if os.path.exists(path):
-            _quarantine(path, kind="blocks")
-        return {}
-    return out
+
+    def parse(meta: Dict, archive) -> Optional[Dict[CellKey, np.ndarray]]:
+        if meta.get("format") != 2 or meta.get("data") != spec.data_dict():
+            return None
+        return _parse_cells(meta, archive)
+
+    return _read_entry(path, "blocks", parse) or {}
 
 
 def _check_read_faults() -> None:
@@ -269,13 +264,87 @@ def _check_read_faults() -> None:
 
     ``cache.read`` simulates the I/O error class (plain miss),
     ``cache.corrupt`` the truncated-archive class (quarantine + rebuild)
-    — each raises into the *real* recovery handler above, so chaos runs
-    exercise production code, not injection-aware shims.
+    — each raises into the *real* recovery handler of
+    :func:`_read_entry`, so chaos runs exercise production code, not
+    injection-aware shims.
     """
     if FAULTS.check("cache.read") is not None:
         raise FaultError("injected cache read failure")
     if FAULTS.check("cache.corrupt") is not None:
         raise zipfile.BadZipFile("injected cache corruption")
+
+
+def _parse_archive(path: str, parse: Callable[[Dict, Any], T]) -> T:
+    """Open an entry, decode its JSON ``meta`` object, and ``parse`` it.
+
+    Raises ``OSError`` when the file cannot be read and one of
+    :data:`_BROKEN` when its content is broken.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError("entry metadata is not a JSON object")
+        return parse(meta, archive)
+
+
+def _read_entry(
+    path: str, kind: str, parse: Callable[[Dict, Any], Optional[T]]
+) -> Optional[T]:
+    """The one cache read: fault seam, archive, metadata, quarantine.
+
+    ``parse(meta, archive)`` returns the entry's value, ``None`` for a
+    foreign or stale entry (another spec or data identity, a wrong
+    ``format`` marker, a shape mismatch), or raises for broken content.
+    An ``OSError`` — a missing file, transient I/O, an injected
+    ``cache.read`` — is a plain miss, recomputed and never quarantined.
+    Broken content (a bad zip, a missing member, metadata that is not a
+    JSON object, a cell list that does not parse) is a miss too, and the
+    entry is quarantined so the slot rebuilds instead of re-failing
+    every lookup.  Foreign and stale entries stay where they are.
+    """
+    try:
+        if FAULTS.enabled:
+            _check_read_faults()
+        return _parse_archive(path, parse)
+    except OSError:
+        return None
+    except _BROKEN:
+        if os.path.exists(path):
+            _quarantine(path, kind=kind)
+        return None
+
+
+def _parse_cells(meta: Dict, archive) -> Dict[CellKey, np.ndarray]:
+    """The cell layout's ``{(distance, k): times}``.
+
+    A cell whose array disagrees with its recorded trial count (a
+    truncated entry) is dropped alone; the rest of the entry stays.
+    """
+    out: Dict[CellKey, np.ndarray] = {}
+    for index, (distance, k, trials) in enumerate(meta.get("cells", [])):
+        times = np.asarray(archive[f"times_{index}"], dtype=np.float64)
+        if times.ndim == 1 and times.size == int(trials):
+            out[(int(distance), int(k))] = times
+    return out
+
+
+def _save_cells(
+    path: str, meta: Dict, cells: Mapping[CellKey, np.ndarray]
+) -> bool:
+    """Write the cell layout: ``meta`` + ``cells`` + ``times_<i>``.
+
+    ``meta`` gains ``cells: [[distance, k, trials], ...]`` in sorted cell
+    order, and cell ``i`` of that list is stored as ``times_<i>``.
+    """
+    ordered = sorted(cells.items())
+    meta = dict(meta, cells=[
+        [distance, k, int(times.size)] for (distance, k), times in ordered
+    ])
+    arrays = {
+        f"times_{index}": np.asarray(times, dtype=np.float64)
+        for index, (_, times) in enumerate(ordered)
+    }
+    return _atomic_savez(path, meta, arrays)
 
 
 def save_blocks(
@@ -286,19 +355,7 @@ def save_blocks(
     Callers pass the *full* merged cell map — load, extend, save — so a
     store never loses cells another grid contributed.
     """
-    ordered = sorted(blocks.items())
-    meta = {
-        "format": 2,
-        "data": spec.data_dict(),
-        "cells": [
-            [distance, k, int(times.size)] for (distance, k), times in ordered
-        ],
-    }
-    arrays = {
-        f"times_{index}": np.asarray(times, dtype=np.float64)
-        for index, (_, times) in enumerate(ordered)
-    }
-    return _atomic_savez(path, meta, arrays)
+    return _save_cells(path, {"format": 2, "data": spec.data_dict()}, blocks)
 
 
 @contextmanager
@@ -416,11 +473,9 @@ def append_blocks(
 def journal_path(spec: SweepSpec, cache_dir: Optional[str] = None) -> str:
     """The checkpoint journal a fixed-path sweep writes while running.
 
-    Keyed by the *full* spec hash (like the v1 entry it will become).
-    Task indices alone do not identify work — walker groups chunk by
-    worker count — so each journal entry also records its ``(k,
-    distances)`` identity, and :func:`load_journal` drops entries that
-    do not match the resuming run's layout.
+    Keyed by the *full* spec hash, like the v1 entry it will become.
+    A journal holds finished cells in the block store's cell layout, so
+    it carries no task identity and resumes under any worker count.
     """
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     return os.path.join(
@@ -428,87 +483,42 @@ def journal_path(spec: SweepSpec, cache_dir: Optional[str] = None) -> str:
     )
 
 
-def load_journal(
-    spec: SweepSpec,
-    path: str,
-    layout: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
-) -> Dict[int, np.ndarray]:
-    """Completed task matrices of an interrupted sweep, by task index.
+def load_journal(spec: SweepSpec, path: str) -> Dict[CellKey, np.ndarray]:
+    """Finished cells of an interrupted sweep, as ``{(distance, k): times}``.
 
     Absent, corrupt, or foreign journals load as empty — the sweep then
     simply runs cold.  The stored spec dict is compared against ``spec``
-    so a resumed run can never splice in another sweep's chunks, and
-    ``layout`` (the resuming run's task list as ``(k, distances)``
-    pairs) drops any entry whose recorded identity no longer matches —
-    e.g. a walker sweep resumed with a different worker count.
+    so a resumed run can never splice in another sweep's cells, and only
+    grid cells holding exactly ``spec.trials`` times are kept.  Journals
+    from before the cell layout (a ``tasks`` list instead of ``cells``)
+    load as empty, so their resume runs cold and is still bitwise.
     """
-    out: Dict[int, np.ndarray] = {}
-    try:
-        if FAULTS.enabled:
-            _check_read_faults()
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            if meta.get("format") != "journal":
-                return {}
-            if meta.get("spec") != spec.to_dict():
-                return {}
-            for entry in meta.get("tasks", []):
-                index, k, distances = entry
-                index = int(index)
-                if layout is not None:
-                    if not 0 <= index < len(layout):
-                        continue
-                    want_k, want_distances = layout[index]
-                    if int(k) != int(want_k) or (
-                        [int(d) for d in distances]
-                        != [int(d) for d in want_distances]
-                    ):
-                        continue  # layout drifted; recompute this task
-                times = np.asarray(archive[f"task_{index}"], dtype=np.float64)
-                if times.ndim != 2 or times.shape[1] != spec.trials:
-                    continue  # truncated entry; recompute just this task
-                if times.shape[0] != len(distances):
-                    continue
-                out[index] = times
-    except OSError:
-        return {}
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
-        if os.path.exists(path):
-            _quarantine(path, kind="journal")
-        return {}
-    return out
+
+    def parse(meta: Dict, archive) -> Optional[Dict[CellKey, np.ndarray]]:
+        if meta.get("format") != "journal" or meta.get("spec") != spec.to_dict():
+            return None
+        grid = {(cell.distance, cell.k) for cell in spec.cells()}
+        return {
+            key: times
+            for key, times in _parse_cells(meta, archive).items()
+            if key in grid and times.size == spec.trials
+        }
+
+    return _read_entry(path, "journal", parse) or {}
 
 
 def save_journal(
-    spec: SweepSpec,
-    path: str,
-    done: Mapping[int, np.ndarray],
-    layout: Sequence[Tuple[int, Sequence[int]]],
+    spec: SweepSpec, path: str, done: Mapping[CellKey, np.ndarray]
 ) -> bool:
-    """Atomically persist the completed-task map of a running sweep.
+    """Atomically persist the finished cells of a running sweep.
 
-    ``layout`` is the full task list as ``(k, distances)`` pairs; each
-    journal entry records its own identity from it (see
-    :func:`load_journal`).  Each write replaces the whole journal via
-    the same temp-file + rename path as every other entry, so a driver
-    killed mid-checkpoint leaves either the previous journal or the new
-    one — never a torn file (the SIGKILL property test in
-    ``tests/test_resume.py``).
+    Each write replaces the whole journal via the same temp-file +
+    rename path as every other entry, so a driver killed mid-checkpoint
+    leaves either the previous journal or the new one — never a torn
+    file (the SIGKILL property test in ``tests/test_resume.py``).
     """
-    ordered = sorted(done.items())
-    meta = {
-        "format": "journal",
-        "spec": spec.to_dict(),
-        "tasks": [
-            [index, int(layout[index][0]), [int(d) for d in layout[index][1]]]
-            for index, _ in ordered
-        ],
-    }
-    arrays = {
-        f"task_{index}": np.asarray(times, dtype=np.float64)
-        for index, times in ordered
-    }
-    return _atomic_savez(path, meta, arrays)
+    meta = {"format": "journal", "spec": spec.to_dict()}
+    return _save_cells(path, meta, done)
 
 
 def clear_journal(path: str) -> None:
@@ -562,33 +572,24 @@ def clean_stale_files(
 
 
 def _manifest_record(meta: Dict, npz_size: int) -> Dict:
-    """The listing-facing summary of one entry's metadata."""
-    if meta.get("format") == "journal":
-        spec = meta.get("spec", {})
-        tasks = meta.get("tasks", [])
-        return {
-            "kind": "journal",
-            "algorithm": spec.get("algorithm", "?"),
-            "cells": len(tasks),
-            "trials": 0,  # partial work; counted when it becomes a v1 entry
-            "npz_size": npz_size,
-        }
-    if meta.get("format") == 2:
-        cells = meta.get("cells", [])
-        return {
-            "kind": "blocks",
-            "algorithm": meta.get("data", {}).get("algorithm", "?"),
-            "cells": len(cells),
-            "trials": sum(int(cell[2]) for cell in cells),
-            "npz_size": npz_size,
-        }
-    spec = meta.get("spec", {})
+    """The listing-facing summary of one entry's metadata.
+
+    Raises on malformed metadata, like the readers do.
+    """
+    fmt = meta.get("format")
+    kind = {2: "blocks", "journal": "journal"}.get(fmt, "sweep")
+    identity = meta.get("data" if kind == "blocks" else "spec", {})
     cells = meta.get("cells", [])
+    if kind == "sweep":
+        per_cell = int(identity.get("trials", 0))
+        trials = sum(per_cell for _distance, _k in cells)
+    else:
+        trials = sum(int(count) for _distance, _k, count in cells)
     return {
-        "kind": "sweep",
-        "algorithm": spec.get("algorithm", "?"),
+        "kind": kind,
+        "algorithm": identity.get("algorithm", "?"),
         "cells": len(cells),
-        "trials": len(cells) * int(spec.get("trials", 0)),
+        "trials": trials,
         "npz_size": npz_size,
     }
 
@@ -711,14 +712,16 @@ def _inspect_entry(path: str) -> Optional[CacheEntry]:
     if len(parts) >= 3:
         algorithm = "_".join(parts[1:-1])
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+        # Listing reads without the fault seam and never quarantines:
+        # it reports what is on disk, broken entries included.
+        record = _parse_archive(
+            path, lambda meta, _: _manifest_record(meta, stat.st_size)
+        )
+    except (OSError, AttributeError) + _BROKEN:
         return CacheEntry(
             path=path, kind="unreadable", algorithm=algorithm, cells=0,
             trials=0, size_bytes=stat.st_size, mtime=stat.st_mtime,
         )
-    record = _manifest_record(meta, stat.st_size)
     if record["algorithm"] == "?":
         record["algorithm"] = algorithm
     return CacheEntry(

@@ -19,21 +19,22 @@ which is what the experiments do.
    engines — :func:`repro.sim.events.simulate_find_times_batch` (one
    multi-world task of the stacked excursion kernel, sharing every
    phase's excursion draws across the group) for excursion algorithms,
-   or per-world-seeded walker rows for walker baselines.
-   Groups whose distance axis exceeds
+   or per-world-seeded rows for walker baselines and dynamic worlds,
+   split into runs of rows whose length the spec alone fixes
+   (:data:`ROW_TASKS`).
+   Excursion groups whose distance axis exceeds
    :data:`repro.sweep.spec.FIXED_CHUNK_THRESHOLD` split into
    deterministic chunks (:func:`repro.sweep.spec.group_chunks`) so a
    one-``k``-many-``D`` grid no longer serialises on a single worker;
    the chunk layout is a function of the spec alone, never of the
    worker count, because excursion chunk streams are part of the
-   result's identity.  Walker rows are seeded per world, so walker
-   groups additionally split into worker-count-sized chunks with no
-   effect on results;
+   result's identity;
 3. chunk tasks are independent, so the executor fans them out; every
    task ships the picklable spec plus its pre-spawned seeds, making
    results bitwise identical to a serial run;
-4. the raw ``(cells, trials)`` find-time matrix is written back to the
-   cache.
+4. finished cells checkpoint into the spec's journal (see
+   :func:`run_sweep`), and the raw ``(cells, trials)`` find-time matrix
+   is written back to the cache in grid order.
 
 Fixed-path seed policy: one child seed per group via
 :func:`repro.sim.rng.spawn_seeds` on the spec's root seed; within a group
@@ -139,7 +140,6 @@ from .cache import (
 from .executor import SweepExecutor, ensure_executor
 from .spec import (
     GROUP_CHUNK_STREAM,
-    SweepCell,
     SweepSpec,
     block_trials,
     build_algorithm,
@@ -347,94 +347,72 @@ def _execute_chunk(payload) -> np.ndarray:
     Returns the ``(len(distances), trials)`` find-time matrix for the
     chunk's cells.  Excursion chunks run one batched engine call under
     ``sim_seed`` (draws shared across the chunk's worlds — common random
-    numbers); walker chunks run one pre-seeded row per world, which is
-    bitwise identical however the group was split.
+    numbers); row-wise chunks (walkers, dynamic worlds) run one
+    per-world-seeded engine call per distance.
     """
     spec, k, distances, placement_seeds, sim_seed, world_seeds = payload
     with trace.trace_scope(k=k, distances=tuple(distances)):
         strategy = build_algorithm(spec.algorithm, k, spec.param_dict())
-        engine = engine_for(strategy)
-        if spec.world is not None:
-            # Dynamic-world rows resolve one per-world-seeded engine
-            # call per distance (walker-style), so results are
-            # independent of the chunk layout.
-            targets = [
-                place_targets(
-                    distance, spec.placement, spec.world.n_targets,
-                    seed=placement_seed,
-                )
-                for distance, placement_seed in zip(
-                    distances, placement_seeds
-                )
-            ]
-            return np.stack([
-                engine.find_times(
-                    strategy, world, k, spec.trials, world_seed,
-                    horizon=spec.horizon, scenario=spec.scenario,
-                    world_spec=spec.world,
-                )
-                for world, world_seed in zip(targets, world_seeds)
-            ])
         worlds = [
-            place_treasure(distance, spec.placement, seed=placement_seed)
+            _place_world(spec, distance, placement_seed)
             for distance, placement_seed in zip(distances, placement_seeds)
         ]
-        if isinstance(engine, WalkerBatchEngine):
-            return np.stack([
-                engine.find_times(
-                    strategy, world, k, spec.trials, world_seed,
-                    horizon=spec.horizon, scenario=spec.scenario,
-                )
-                for world, world_seed in zip(worlds, world_seeds)
-            ])
-        return simulate_find_times_batch(
-            strategy, worlds, k, spec.trials, sim_seed,
-            horizon=spec.horizon, scenario=spec.scenario,
-        )
+        if world_seeds is None:
+            return simulate_find_times_batch(
+                strategy, worlds, k, spec.trials, sim_seed,
+                horizon=spec.horizon, scenario=spec.scenario,
+            )
+        engine = engine_for(strategy)
+        return np.stack([
+            engine.find_times(
+                strategy, world, k, spec.trials, world_seed,
+                horizon=spec.horizon, scenario=spec.scenario,
+                world_spec=spec.world,
+            )
+            for world, world_seed in zip(worlds, world_seeds)
+        ])
 
 
-def _fixed_tasks(spec: SweepSpec, workers: int) -> List[tuple]:
+#: Walker and dynamic-world rows are seeded per world, so how a group's
+#: rows split into tasks never changes results.  A spec's row groups
+#: split into runs of ``ceil(rows / ROW_TASKS)`` rows: about twice the
+#: width of a 4-worker pool, so pools can steal work, while a serial run
+#: does not pay one task (and, at ``checkpoint_s=0``, one journal write)
+#: per row.  The layout is a function of the spec alone, so a journal's
+#: checkpoint units are the same under every worker count.
+ROW_TASKS = 8
+
+
+def _fixed_tasks(spec: SweepSpec) -> List[tuple]:
     """Chunk payloads for the fixed path, in grid (cell) order.
 
     Seeds are spawned in the parent so that the layout a worker sees is
     entirely determined by the spec: per group, grandchild 0 is the
     simulation seed and grandchildren 1.. seed the treasure placements.
     Excursion groups split only by the content-deterministic
-    :func:`repro.sweep.spec.group_chunks` layout; walker groups (whose
-    rows are independently seeded per world) additionally split to about
-    twice the worker count for stealing-friendly granularity.
+    :func:`repro.sweep.spec.group_chunks` layout; walker and
+    dynamic-world groups, whose rows are independently seeded per world,
+    split into runs of ``ceil(rows / ROW_TASKS)`` rows.
     """
     groups = spec.groups()
     group_seeds = spawn_seeds(spec.seed, len(groups))
+    rows_per_task = -(-sum(len(g.distances) for g in groups) // ROW_TASKS)
     tasks: List[tuple] = []
     for group, group_seed in zip(groups, group_seeds):
         child_seeds = spawn_seeds(group_seed, 1 + len(group.distances))
         sim_seed, placement_seeds = child_seeds[0], child_seeds[1:]
         strategy = build_algorithm(spec.algorithm, group.k, spec.param_dict())
         offsets = {d: i for i, d in enumerate(group.distances)}
-        rowwise = (
+        if (
             isinstance(engine_for(strategy), WalkerBatchEngine)
             or spec.world is not None
-        )
-        if rowwise:
+        ):
             world_seeds = spawn_seeds(sim_seed, len(group.distances))
-            if workers > 1:
-                per_task = max(
-                    1,
-                    -(-len(group.distances) * len(groups) // (2 * workers)),
-                )
-                chunks = [
-                    group.distances[i : i + per_task]
-                    for i in range(0, len(group.distances), per_task)
-                ]
-            else:
-                chunks = [group.distances]
-            for chunk in chunks:
-                rows = [offsets[d] for d in chunk]
+            for start in range(0, len(group.distances), rows_per_task):
+                rows = slice(start, start + rows_per_task)
                 tasks.append((
-                    spec, group.k, chunk,
-                    [placement_seeds[r] for r in rows], None,
-                    [world_seeds[r] for r in rows],
+                    spec, group.k, group.distances[rows],
+                    placement_seeds[rows], None, world_seeds[rows],
                 ))
             continue
         chunks = group_chunks(group.distances)
@@ -474,42 +452,37 @@ def _run_fixed(
                 _emit(progress, spec, cell, 0)
             return SweepResult(spec=spec, cells=cells, from_cache=True)
 
-    tasks = _fixed_tasks(spec, executor.workers)
-    layout = [(task[1], list(task[2])) for task in tasks]
+    tasks = _fixed_tasks(spec)
     journal = (
         journal_path(spec, cache_dir)
         if path is not None and (resume or checkpoint_s is not None)
         else None
     )
-    #: Completed task matrices, by task index — the checkpoint unit.
-    done: Dict[int, np.ndarray] = {}
+    #: Finished cells' times, by ``(distance, k)`` — the checkpoint unit.
+    done: Dict[Tuple[int, int], np.ndarray] = {}
     if journal is not None and resume:
-        done = load_journal(spec, journal, layout)
-    tickets = {}
-    cells_by_task: List[List[CellResult]] = [[] for _ in tasks]
-    span_starts: Dict[int, float] = {}
-    if done:
-        # Recovered tasks surface like cache hits: their cells emit with
-        # zero *new* trials, and their chunks are never resubmitted — a
+        # A task is skipped iff all of its cells are journaled; its
+        # cells surface like cache hits (zero *new* trials), so a
         # resumed run simulates strictly less than it lost.
-        if BUS.enabled:
+        journaled = load_journal(spec, journal)
+        for _, k, distances, *_ in tasks:
+            if all((distance, k) in journaled for distance in distances):
+                for distance in distances:
+                    done[(distance, k)] = journaled[(distance, k)]
+        if done and BUS.enabled:
             BUS.counter(
                 "sweep.resume", algorithm=spec.algorithm, kind="fixed",
                 tasks=len(done),
-                trials=sum(int(m.size) for m in done.values()),
+                trials=sum(int(times.size) for times in done.values()),
             )
-        for index in sorted(done):
-            _, k, distances, *_ = tasks[index]
-            for row, distance in enumerate(distances):
-                cell = CellResult(
-                    distance=distance, k=k, times=done[index][row]
-                )
-                cells_by_task[index].append(cell)
-                _emit(progress, spec, cell, 0)
+        for (distance, k), times in done.items():
+            _emit(progress, spec, CellResult(distance, k, times), 0)
+    tickets = {}
+    span_starts: Dict[int, float] = {}
     last_checkpoint = time.monotonic()
     try:
         for index, task in enumerate(tasks):
-            if index in done:
+            if all((distance, task[1]) in done for distance in task[2]):
                 continue
             ticket = executor.submit(_execute_chunk, task)
             tickets[ticket] = index
@@ -528,18 +501,16 @@ def _run_fixed(
                     kind="chunk", k=k, distances=list(distances),
                     block=index,
                 )
-            done[index] = np.asarray(matrix)
-            for row, distance in enumerate(distances):
-                cell = CellResult(distance=distance, k=k, times=matrix[row])
-                cells_by_task[index].append(cell)
-                _emit(progress, spec, cell, cell.trials)
+            for distance, times in zip(distances, np.asarray(matrix)):
+                done[(distance, k)] = times
+                _emit(
+                    progress, spec, CellResult(distance, k, times),
+                    times.size,
+                )
             if journal is not None and checkpoint_s is not None and tickets:
                 now = time.monotonic()
                 if now - last_checkpoint >= checkpoint_s:
-                    if (
-                        save_journal(spec, journal, done, layout)
-                        and BUS.enabled
-                    ):
+                    if save_journal(spec, journal, done) and BUS.enabled:
                         BUS.counter(
                             "sweep.checkpoint", algorithm=spec.algorithm,
                             kind="fixed", tasks=len(done),
@@ -552,17 +523,20 @@ def _run_fixed(
         executor.discard(tickets)
         raise
 
-    cells = [cell for task_cells in cells_by_task for cell in task_cells]
+    # spec.cells() is k-major, distance-minor: the task order.
+    grid = spec.cells()
+    cells = [
+        CellResult(cell.distance, cell.k, done[(cell.distance, cell.k)])
+        for cell in grid
+    ]
     if path is not None and cells:
-        save_result(
-            spec,
-            path,
-            [SweepCell(distance=c.distance, k=c.k) for c in cells],
-            np.stack([c.times for c in cells]),
+        saved = save_result(
+            spec, path, grid, np.stack([c.times for c in cells])
         )
-        if journal is not None:
+        if saved and journal is not None:
             # The v1 entry now owns these results; a surviving journal
-            # would only re-feed them to the next resume.
+            # would only re-feed them to the next resume.  A failed
+            # save keeps it, so a resume still skips the finished cells.
             clear_journal(journal)
     return SweepResult(spec=spec, cells=cells, from_cache=False)
 
@@ -571,20 +545,24 @@ def _run_fixed(
 # Adaptive path: block-granular work stealing driven by the budget.
 # ----------------------------------------------------------------------
 
-def _cell_world(spec: SweepSpec, distance: int, k: int):
-    """The cell's world, seeded independently of every other cell.
+def _place_world(spec: SweepSpec, distance: int, seed):
+    """The spec's world at ``distance``, placed from ``seed``.
 
     Dynamic-world specs get an ``(n_targets, 2)`` initial-position array
-    (the form every engine accepts alongside a non-default world spec)
-    from the same per-cell placement stream.
+    (the form every engine accepts alongside a non-default world spec).
     """
-    placement_seed = derive_seed(spec.seed, PLACEMENT_STREAM, distance, k)
     if spec.world is not None:
         return place_targets(
-            distance, spec.placement, spec.world.n_targets,
-            seed=placement_seed,
+            distance, spec.placement, spec.world.n_targets, seed=seed
         )
-    return place_treasure(distance, spec.placement, seed=placement_seed)
+    return place_treasure(distance, spec.placement, seed=seed)
+
+
+def _cell_world(spec: SweepSpec, distance: int, k: int):
+    """The cell's world, seeded independently of every other cell."""
+    return _place_world(
+        spec, distance, derive_seed(spec.seed, PLACEMENT_STREAM, distance, k)
+    )
 
 
 def _usable_prefix(existing: Optional[np.ndarray]) -> np.ndarray:
@@ -1162,14 +1140,15 @@ def run_sweep(
     called once per finished cell with a :class:`ProgressEvent`.
 
     Crash recovery (DESIGN.md §13): while a cached fixed-path sweep
-    runs, completed chunks checkpoint every ``checkpoint_s`` seconds
+    runs, completed cells checkpoint every ``checkpoint_s`` seconds
     into an atomic per-spec journal (``0`` checkpoints after every
-    chunk; ``None`` disables); adaptive sweeps flush folded blocks to
-    the block store on the same cadence.  After a driver crash,
-    ``resume=True`` (CLI: ``repro-ants sweep --resume``) reloads the
-    journal, re-simulates only what never completed, and produces a
-    result bitwise identical to an uninterrupted run.  The journal is
-    deleted once the final result is cached.
+    finished task; ``None`` disables); adaptive sweeps flush folded
+    blocks to the block store on the same cadence.  After a driver
+    crash, ``resume=True`` (CLI: ``repro-ants sweep --resume``) reloads
+    the journal, re-simulates only the tasks whose cells it lacks, and
+    produces a result bitwise identical to an uninterrupted run, under
+    any worker count.  The journal is deleted once the final result is
+    cached, and kept if that write fails.
 
     Walker strategies (``random_walk``, ``biased_walk``, ``levy``) require
     the spec to carry a finite ``horizon``: memoryless walks on ``Z^2``

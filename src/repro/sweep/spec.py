@@ -349,6 +349,11 @@ class SweepSpec:
             raise ValueError("distances must be >= 1")
         if any(k < 1 for k in self.ks):
             raise ValueError("ks must be >= 1")
+        # A grid names each cell once: results, journals and block
+        # stores are keyed by (distance, k).
+        for name, axis in (("distances", self.distances), ("ks", self.ks)):
+            if len(set(axis)) != len(axis):
+                raise ValueError(f"{name} must not repeat a value: {axis}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not isinstance(self.seed, int):

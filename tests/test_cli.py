@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -136,6 +138,27 @@ class TestSweepCommand:
     def test_sweep_rejects_bad_distances(self):
         with pytest.raises(SystemExit):
             main(["sweep", "uniform", "--distances", "8,x", "--ks", "1"])
+
+    def test_sweep_rejects_resume_without_cache(self, tmp_path, capsys):
+        # --resume reads the journal in the cache, so with --no-cache it
+        # would silently run cold; it is an error instead.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sweep", "nonuniform", "--distances", "8", "--ks", "1",
+                "--trials", "10", "--cache-dir", str(tmp_path),
+                "--resume", "--no-cache",
+            ])
+        assert "--no-cache" in str(exit_info.value.code)
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_rejects_repeated_axis_values(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sweep", "nonuniform", "--distances", "8", "--ks", "1,1",
+                "--trials", "10", "--cache-dir", str(tmp_path),
+            ])
+        assert "ks must not repeat" in str(exit_info.value.code)
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_rejects_bad_trials_cleanly(self):
         with pytest.raises(SystemExit):

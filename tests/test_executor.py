@@ -31,6 +31,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.executor import CRASH_ENV, ProcessExecutor
+from repro.sweep import runner
 from repro.sweep.runner import _execute_block
 
 
@@ -375,8 +376,8 @@ class TestFixedChunking:
         )
 
     def test_chunked_walker_rows_independent_of_split(self):
-        # Walker rows are per-world seeded, so any split — including the
-        # worker-count-sized one — reproduces the unsplit rows bitwise.
+        # Walker rows are per-world seeded, so however a group's rows
+        # split into tasks, pooled runs reproduce the serial rows bitwise.
         spec = small_spec(
             algorithm="random_walk", horizon=400.0,
             distances=self.MANY, ks=(2,), trials=8,
@@ -386,6 +387,17 @@ class TestFixedChunking:
             assert_sweeps_equal(
                 serial, run_sweep(spec, cache=False, workers=workers)
             )
+
+    def test_walker_row_split_leaves_results_unchanged(self, monkeypatch):
+        # From one task per row to one task per group: the rows match.
+        spec = small_spec(
+            algorithm="random_walk", horizon=400.0,
+            distances=self.MANY, ks=(1, 2), trials=8,
+        )
+        default = run_sweep(spec, cache=False)
+        for row_tasks in (1, 5, len(spec.cells())):
+            monkeypatch.setattr(runner, "ROW_TASKS", row_tasks)
+            assert_sweeps_equal(default, run_sweep(spec, cache=False))
 
     def test_require_k_le_d_filters_before_chunking(self):
         spec = small_spec(

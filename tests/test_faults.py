@@ -45,6 +45,7 @@ from repro.faults import (
 )
 from repro.faults import plan as plan_module
 from repro.obs import MemorySink, tracing
+from repro.stats import BudgetPolicy
 from repro.sweep import (
     LoopbackWorker,
     RemoteExecutor,
@@ -56,8 +57,13 @@ from repro.sweep import (
 from repro.sweep.cache import (
     QUARANTINE_SUFFIX,
     TMP_PREFIX,
+    block_store_path,
     cache_path,
     clean_stale_files,
+    journal_path,
+    list_entries,
+    load_blocks,
+    load_journal,
     load_result,
     save_result,
 )
@@ -325,6 +331,75 @@ class TestCacheSeams:
         os.utime(orphan, (old, old))
         run_sweep(small_spec(), cache=True, cache_dir=str(tmp_path))
         assert not orphan.exists()
+
+
+class TestMalformedMetadata:
+    """Well-formed archives with malformed metadata are broken entries.
+
+    Each of the three entry kinds, with ``meta`` a JSON list or with a
+    scalar where a cell belongs, loads as a miss, is quarantined, lists
+    as ``unreadable``, and leaves the sweep that meets it bitwise.
+    """
+
+    @staticmethod
+    def _case(kind, tmp_path):
+        cache_dir = str(tmp_path)
+        if kind == "blocks":
+            spec = small_spec(budget=BudgetPolicy.target_rel_ci(
+                0.5, min_trials=32, max_trials=64,
+            ))
+            return spec, block_store_path(spec, cache_dir), load_blocks, {}
+        spec = small_spec()
+        if kind == "journal":
+            path = journal_path(spec, cache_dir)
+            return spec, path, load_journal, {"resume": True}
+        return spec, cache_path(spec, cache_dir), load_result, {}
+
+    @staticmethod
+    def _write(kind, defect, spec, path):
+        identity = {
+            "sweep": {"spec": spec.to_dict()},
+            "blocks": {"format": 2, "data": spec.data_dict()},
+            "journal": {"format": "journal", "spec": spec.to_dict()},
+        }[kind]
+        meta = [identity] if defect == "meta-list" else dict(identity, cells=[5])
+        arrays = (
+            {"times": np.zeros((1, spec.trials))}
+            if kind == "sweep"
+            else {"times_0": np.zeros(spec.trials)}
+        )
+        with open(path, "wb") as handle:
+            np.savez(handle, meta=np.asarray(json.dumps(meta)), **arrays)
+
+    @pytest.mark.parametrize("defect", ["meta-list", "scalar-cell"])
+    @pytest.mark.parametrize("kind", ["sweep", "blocks", "journal"])
+    def test_is_a_quarantined_miss(self, tmp_path, kind, defect):
+        spec, path, load, _ = self._case(kind, tmp_path)
+        self._write(kind, defect, spec, path)
+        assert not load(spec, path)
+        assert not os.path.exists(path)
+        assert os.path.exists(path + QUARANTINE_SUFFIX)
+
+    @pytest.mark.parametrize("defect", ["meta-list", "scalar-cell"])
+    @pytest.mark.parametrize("kind", ["sweep", "blocks", "journal"])
+    def test_lists_as_unreadable(self, tmp_path, kind, defect):
+        spec, path, _, _ = self._case(kind, tmp_path)
+        self._write(kind, defect, spec, path)
+        [entry] = list_entries(str(tmp_path))
+        assert entry.kind == "unreadable"
+        assert os.path.exists(path)  # listing never quarantines
+
+    @pytest.mark.parametrize("defect", ["meta-list", "scalar-cell"])
+    @pytest.mark.parametrize("kind", ["sweep", "blocks", "journal"])
+    def test_sweep_finishes_bitwise(self, tmp_path, kind, defect):
+        spec, path, _, options = self._case(kind, tmp_path)
+        clean = run_sweep(spec, cache=False)
+        self._write(kind, defect, spec, path)
+        result = run_sweep(
+            spec, cache=True, cache_dir=str(tmp_path), **options
+        )
+        assert_sweeps_equal(clean, result)
+        assert os.path.exists(path + QUARANTINE_SUFFIX)
 
 
 class TestChaosParity:

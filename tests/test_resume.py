@@ -2,15 +2,18 @@
 
 The contract under test:
 
-* while a cached fixed-path sweep runs, completed chunks checkpoint
-  into an atomic per-spec journal; a driver killed with ``SIGKILL``
-  mid-sweep leaves either the previous journal or the next — never a
-  torn file — and the v1 entry is only ever written whole;
+* while a cached fixed-path sweep runs, finished cells checkpoint into
+  an atomic per-spec journal; a driver killed with ``SIGKILL`` mid-sweep
+  leaves either the previous journal or the next — never a torn file —
+  and the v1 entry is only ever written whole;
 * ``run_sweep(..., resume=True)`` after the kill tops the sweep up —
   simulating strictly fewer trials than a cold run — and the result is
   bitwise identical to an uninterrupted run;
-* the journal validates spec identity *and* task layout, so a foreign
-  or stale journal can never splice wrong chunks into a result;
+* the journal is keyed by cell, not by task: it validates the spec
+  identity, keeps only grid cells holding exactly ``spec.trials`` times,
+  and resumes under any worker count;
+* a failed final v1 write keeps the journal, so the next resume still
+  skips the finished cells;
 * adaptive sweeps flush folded blocks on the checkpoint cadence, so a
   killed driver loses at most one interval of work and the block store
   stays loadable.
@@ -23,12 +26,13 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
+from repro.faults import FaultPlan, FaultRule, fault_plan
 from repro.stats import BudgetPolicy
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cache import (
     QUARANTINE_SUFFIX,
+    _atomic_savez,
     block_store_path,
     cache_path,
     clear_journal,
@@ -67,72 +71,88 @@ def assert_sweeps_equal(a, b):
         assert np.array_equal(x.times, y.times), (x.distance, x.k)
 
 
-def layout_of(spec, workers=1):
-    return [(t[1], list(t[2])) for t in _fixed_tasks(spec, workers)]
+def cells_of(spec, *indices):
+    """The cells of fixed tasks ``indices``, keyed as a journal keys them."""
+    tasks = _fixed_tasks(spec)
+    done = {}
+    for index in indices:
+        _, k, distances, *_ = tasks[index]
+        matrix = _execute_chunk(tasks[index])
+        for distance, times in zip(distances, matrix):
+            done[(distance, k)] = times
+    return done
 
 
 class TestJournalStore:
-    def test_roundtrip_by_task_index(self, tmp_path):
+    def test_roundtrip_by_cell(self, tmp_path):
         spec = spec_of()
-        tasks = _fixed_tasks(spec, 1)
-        layout = layout_of(spec)
-        done = {0: _execute_chunk(tasks[0]), 2: _execute_chunk(tasks[2])}
+        done = cells_of(spec, 0, 2)
         path = journal_path(spec, str(tmp_path))
-        assert save_journal(spec, path, done, layout)
-        back = load_journal(spec, path, layout)
-        assert sorted(back) == [0, 2]
-        for index in back:
-            assert np.array_equal(back[index], done[index])
+        assert save_journal(spec, path, done)
+        back = load_journal(spec, path)
+        assert sorted(back) == [(8, 1), (8, 4), (16, 1), (16, 4)]
+        for key in back:
+            assert np.array_equal(back[key], done[key])
 
     def test_foreign_spec_loads_empty(self, tmp_path):
         spec = spec_of()
-        layout = layout_of(spec)
         path = journal_path(spec, str(tmp_path))
-        save_journal(
-            spec, path, {0: np.zeros((2, spec.trials))}, layout
-        )
+        save_journal(spec, path, {(8, 1): np.zeros(spec.trials)})
         other = spec_of(seed=43)
-        assert load_journal(other, path, layout_of(other)) == {}
+        assert load_journal(other, path) == {}
 
-    def test_layout_drift_drops_mismatched_entries(self, tmp_path):
-        # The walker case: task chunking depends on the worker count,
-        # so a journal written under one layout must not feed entries
-        # into a run whose indices mean different work.
+    def test_off_grid_cells_are_dropped(self, tmp_path):
+        # A cell the resuming spec's grid does not hold can never feed
+        # its result, whatever the journal claims.
         spec = spec_of()
-        layout = layout_of(spec)
         path = journal_path(spec, str(tmp_path))
-        save_journal(
-            spec, path, {0: np.zeros((2, spec.trials))}, layout
-        )
-        drifted = [(9, [999])] + layout[1:]
-        assert load_journal(spec, path, drifted) == {}
+        save_journal(spec, path, {
+            (8, 1): np.ones(spec.trials),
+            (999, 9): np.zeros(spec.trials),
+        })
+        back = load_journal(spec, path)
+        assert sorted(back) == [(8, 1)]
+        assert np.array_equal(back[(8, 1)], np.ones(spec.trials))
 
     def test_wrong_shape_entries_are_dropped(self, tmp_path):
         spec = spec_of()
-        layout = layout_of(spec)
         path = journal_path(spec, str(tmp_path))
         save_journal(
             spec, path,
-            {0: np.zeros((2, spec.trials + 1))},  # trailing-column junk
-            layout,
+            {(8, 1): np.zeros(spec.trials + 1)},  # trailing-trial junk
         )
-        assert load_journal(spec, path, layout) == {}
+        assert load_journal(spec, path) == {}
+
+    def test_task_layout_journal_loads_empty(self, tmp_path):
+        # Journals written before the cell layout keyed matrices by task
+        # index.  They load as empty without quarantine: a resume runs
+        # cold and is still bitwise.
+        spec = spec_of()
+        path = journal_path(spec, str(tmp_path))
+        meta = {
+            "format": "journal", "spec": spec.to_dict(),
+            "tasks": [[0, 1, [8, 16]]],
+        }
+        assert _atomic_savez(
+            path, meta, {"task_0": np.zeros((2, spec.trials))}
+        )
+        assert load_journal(spec, path) == {}
+        assert os.path.exists(path)
+        assert not os.path.exists(path + QUARANTINE_SUFFIX)
 
     def test_corrupt_journal_is_quarantined(self, tmp_path):
         spec = spec_of()
         path = journal_path(spec, str(tmp_path))
         with open(path, "wb") as handle:
             handle.write(b"not a zip archive")
-        assert load_journal(spec, path, layout_of(spec)) == {}
+        assert load_journal(spec, path) == {}
         assert not os.path.exists(path)
         assert os.path.exists(path + QUARANTINE_SUFFIX)
 
     def test_clear_removes_journal_and_sidecar(self, tmp_path):
         spec = spec_of()
         path = journal_path(spec, str(tmp_path))
-        save_journal(
-            spec, path, {0: np.zeros((2, spec.trials))}, layout_of(spec)
-        )
+        save_journal(spec, path, {(8, 1): np.zeros(spec.trials)})
         clear_journal(path)
         assert not os.path.exists(path)
 
@@ -157,11 +177,8 @@ class TestResumeSemantics:
     def test_resume_skips_journaled_tasks_bitwise(self, tmp_path):
         spec = spec_of()
         clean = run_sweep(spec, cache=False)
-        tasks = _fixed_tasks(spec, 1)
-        layout = layout_of(spec)
-        done = {0: _execute_chunk(tasks[0]), 1: _execute_chunk(tasks[1])}
         save_journal(
-            spec, journal_path(spec, str(tmp_path)), done, layout
+            spec, journal_path(spec, str(tmp_path)), cells_of(spec, 0, 1)
         )
         events = []
         resumed = run_sweep(
@@ -178,12 +195,26 @@ class TestResumeSemantics:
             spec, cache=True, cache_dir=str(tmp_path)
         ).from_cache
 
+    def test_partly_journaled_task_reruns_whole(self, tmp_path):
+        # An excursion task shares its draws across its cells, so it is
+        # skipped only when every one of its cells is journaled.
+        spec = spec_of()
+        clean = run_sweep(spec, cache=False)
+        journaled = cells_of(spec, 0)
+        del journaled[(16, 1)]
+        save_journal(spec, journal_path(spec, str(tmp_path)), journaled)
+        events = []
+        resumed = run_sweep(
+            spec, cache=True, cache_dir=str(tmp_path), resume=True,
+            progress=events.append,
+        )
+        assert_sweeps_equal(clean, resumed)
+        assert all(e.new_trials == spec.trials for e in events)
+
     def test_checkpoint_none_disables_journaling(self, tmp_path):
         spec = spec_of()
-        tasks = _fixed_tasks(spec, 1)
-        done = {0: _execute_chunk(tasks[0])}
         save_journal(
-            spec, journal_path(spec, str(tmp_path)), done, layout_of(spec)
+            spec, journal_path(spec, str(tmp_path)), cells_of(spec, 0)
         )
         events = []
         run_sweep(
@@ -194,6 +225,69 @@ class TestResumeSemantics:
         # nor replaced, and every trial was simulated fresh.
         assert all(e.new_trials > 0 for e in events)
         assert os.path.exists(journal_path(spec, str(tmp_path)))
+
+    def test_failed_final_save_keeps_journal(self, tmp_path):
+        # Four tasks checkpoint after each of the first three; the
+        # fourth cache write is the v1 entry, and it fails.  The journal
+        # must survive it, so the resume recomputes only the last task.
+        spec = spec_of()
+        clean = run_sweep(spec, cache=False)
+        failing = FaultPlan(
+            rules=(FaultRule(site="cache.write", after=3, times=1),)
+        )
+        with fault_plan(failing):
+            run_sweep(
+                spec, cache=True, cache_dir=str(tmp_path), checkpoint_s=0.0
+            )
+        assert not os.path.exists(cache_path(spec, str(tmp_path)))
+        assert os.path.exists(journal_path(spec, str(tmp_path)))
+        events = []
+        resumed = run_sweep(
+            spec, cache=True, cache_dir=str(tmp_path), resume=True,
+            progress=events.append,
+        )
+        assert_sweeps_equal(clean, resumed)
+        total = sum(c.times.size for c in clean.cells)
+        assert 0 < sum(e.new_trials for e in events) < total
+        assert not os.path.exists(journal_path(spec, str(tmp_path)))
+
+
+class TestPerCellResume:
+    """The journal keys cells, so it resumes under any worker count."""
+
+    WALKER = dict(
+        algorithm="random_walk", distances=(4, 8, 12), ks=(1, 2),
+        trials=20, seed=7, horizon=300.0,
+    )
+
+    def test_pool_journal_resumes_serially(self, tmp_path):
+        # A two-worker pool journals cells in completion order; its last
+        # cache write (the v1 entry) fails, leaving every cell but the
+        # last one journaled.  A serial resume finishes bitwise.
+        spec = spec_of(**self.WALKER)
+        clean = run_sweep(spec, cache=False)
+        writes_before_v1 = len(spec.cells()) - 1
+        failing = FaultPlan(
+            rules=(
+                FaultRule(
+                    site="cache.write", after=writes_before_v1, times=1
+                ),
+            )
+        )
+        with fault_plan(failing):
+            run_sweep(
+                spec, cache=True, cache_dir=str(tmp_path), workers=2,
+                backend="process", checkpoint_s=0.0,
+            )
+        journal = journal_path(spec, str(tmp_path))
+        assert len(load_journal(spec, journal)) == writes_before_v1
+        events = []
+        resumed = run_sweep(
+            spec, cache=True, cache_dir=str(tmp_path), workers=1,
+            backend="serial", resume=True, progress=events.append,
+        )
+        assert_sweeps_equal(clean, resumed)
+        assert sum(e.new_trials for e in events) == spec.trials
 
 
 #: Driver script killed with SIGKILL mid-sweep.  The progress callback
@@ -277,7 +371,7 @@ class TestDriverKill:
         # no v1 entry, no torn files a resume would trip over.
         journal = journal_path(spec, str(tmp_path))
         assert os.path.exists(journal)
-        recovered = load_journal(spec, journal, layout_of(spec))
+        recovered = load_journal(spec, journal)
         assert recovered  # at least the first chunk survived
         assert not os.path.exists(cache_path(spec, str(tmp_path)))
 

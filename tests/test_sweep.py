@@ -116,6 +116,12 @@ class TestSweepSpec:
             small_spec(ks=(0,))
         with pytest.raises(ValueError):
             small_spec(trials=0)
+        # Results and journals are keyed by cell, so a repeated axis
+        # value would name one cell twice.
+        with pytest.raises(ValueError, match="distances"):
+            small_spec(distances=(8, 16, 8))
+        with pytest.raises(ValueError, match="ks"):
+            small_spec(ks=(1, 1))
         with pytest.raises(TypeError):
             small_spec(seed=np.random.SeedSequence(0))
 
