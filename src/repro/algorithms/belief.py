@@ -63,6 +63,7 @@ from ..sim.world import (
     TargetTrack,
     World,
     WorldSpec,
+    composed_detection,
     initial_targets,
     resolve_world,
 )
@@ -225,13 +226,9 @@ class GridBeliefSearch(AdaptiveSearcher):
         n_cells = len(centers)
         uniform = 1.0 / n_cells
 
-        # Composed per-crossing detection probability (world x scenario).
-        q = 1.0
-        if wspec is not None:
-            q *= wspec.detection_prob
-        if scn is not None:
-            q *= scn.detection_prob
-        perfect = q >= 1.0
+        q = composed_detection(
+            wspec, scn.detection_prob if scn is not None else None
+        )
 
         # Belief leak rate on worlds whose truth churns: target motion
         # crosses a cell boundary roughly every side/rate time units, and
@@ -244,10 +241,7 @@ class GridBeliefSearch(AdaptiveSearcher):
                 leak += wspec.arrival_hazard
         leak = min(leak, 1.0)
 
-        if wspec is None:
-            targets0 = np.array([world.treasure], dtype=np.int64)
-        else:
-            targets0 = initial_targets(world, wspec)
+        targets0 = initial_targets(world, wspec or WorldSpec())
         n_targets = len(targets0)
 
         speeds = scn.speeds(k) if scn is not None else np.ones(k)
@@ -319,7 +313,7 @@ class GridBeliefSearch(AdaptiveSearcher):
                     wall = t + (travel[c] + spiral_hit_time(dx, dy)) / speeds[i]
                     if wall < arrivals[j] or wall > horizon:
                         continue
-                    if not perfect and not rngs[i].random() < q:
+                    if q is not None and not rngs[i].random() < q:
                         continue
                     hit = min(hit, wall)
 
@@ -328,7 +322,7 @@ class GridBeliefSearch(AdaptiveSearcher):
                     clocks[i] = np.inf
                     continue
 
-                if perfect:
+                if q is None:
                     b[c] = 0.0
                 else:
                     b[c] *= 1.0 - q

@@ -808,7 +808,9 @@ def _cmd_cache(args) -> int:
             f"{len(entries)} entries, "
             f"{sum(e.size_bytes for e in entries) / 1024.0:.1f} KiB total; "
             "kind: sweep = fixed-trials matrix (v1), "
-            "blocks = adaptive block store (v2)"
+            "blocks = adaptive block store (v2), "
+            "journal = checkpoint of an interrupted fixed sweep, "
+            "unreadable = broken archive, quarantined on its next read"
         )
         print(table.to_text())
         return 0

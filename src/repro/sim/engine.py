@@ -19,6 +19,7 @@ far as their horizon, which prunes most of the work.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -40,6 +41,7 @@ from .world import (
     Result,
     World,
     WorldSpec,
+    composed_detection,
     initial_targets,
     resolve_world,
 )
@@ -221,90 +223,6 @@ def _run_agent_dynamic(
     return AgentTrace(agent=agent, find_time=find_time, steps=steps)
 
 
-def _run_search_dynamic(
-    algorithm: SearchAlgorithm,
-    world,
-    wspec: WorldSpec,
-    k: int,
-    seed: SeedLike,
-    *,
-    horizon: int,
-    prune: bool,
-    scenario: Optional[ScenarioSpec],
-) -> StepRun:
-    """Dynamic-world step search: the per-step-exact reference execution.
-
-    Supports crash and lossy-detection scenarios (where a step index *is*
-    the wall clock); heterogeneous speeds and staggered starts would
-    decouple the two and are rejected — use the vectorised engines for
-    those combinations.  Motion and arrival randomness comes from
-    ``derive_rng(seed, TARGET_STREAM)``; agent trajectories keep their
-    legacy ``derive_rng(seed, i)`` streams, so the searcher's walk is
-    identical across world settings.
-    """
-    scn = resolve_scenario(scenario)
-    if scn is not None and (scn.speed_spread > 0 or scn.start_stagger > 0):
-        raise ValueError(
-            "the step engine runs dynamic worlds only with unit speeds "
-            "and simultaneous starts; use the vectorised engines for "
-            "speed/stagger scenarios"
-        )
-    horizon = int(horizon)
-    targets0 = initial_targets(world, wspec)
-    motion_rng = derive_rng(seed, TARGET_STREAM)
-    traj = _step_trajectory(wspec, targets0, horizon, motion_rng)
-    if wspec.arrival == "geometric":
-        arrivals = motion_rng.geometric(
-            wspec.arrival_hazard, size=wspec.n_targets
-        ).astype(np.float64)
-    else:
-        arrivals = np.zeros(wspec.n_targets, dtype=np.float64)
-
-    scn_detection = scn.detection_prob if scn is not None else 1.0
-    detection = wspec.detection_prob * scn_detection
-    traces: List[AgentTrace] = []
-    best_wall: Optional[float] = None
-    finder: Optional[int] = None
-    for i in range(k):
-        agent_horizon = horizon
-        srng = None
-        if (scn is not None and scn.crash_hazard > 0) or detection < 1:
-            srng = derive_rng(seed, i, SCENARIO_STREAM)
-        if scn is not None and scn.crash_hazard > 0:
-            lifetime = float(srng.geometric(scn.crash_hazard))
-            agent_horizon = min(agent_horizon, int(steps_within(lifetime)))
-        if prune and best_wall is not None:
-            agent_horizon = min(agent_horizon, max(int(best_wall) - 1, 0))
-        trace = _run_agent_dynamic(
-            algorithm,
-            traj,
-            arrivals,
-            derive_rng(seed, i),
-            agent_horizon,
-            agent=i,
-            detection_prob=detection,
-            detect_rng=srng if detection < 1 else None,
-        )
-        traces.append(trace)
-        if trace.find_time is not None:
-            wall = float(trace.find_time)
-            if best_wall is None or wall < best_wall:
-                best_wall = wall
-                finder = i
-    total_steps = sum(trace.steps for trace in traces)
-    if best_wall is None:
-        result = Result(
-            time=float("inf"), found=False, finder=None,
-            steps_simulated=total_steps,
-        )
-    else:
-        result = Result(
-            time=float(best_wall), found=True, finder=finder,
-            steps_simulated=total_steps,
-        )
-    return StepRun(result=result, traces=traces)
-
-
 def run_search(
     algorithm: SearchAlgorithm,
     world: World,
@@ -339,16 +257,27 @@ def run_search(
     wall-clock conversion lives in ``Result.time``.
 
     ``world_spec`` (:class:`repro.sim.world.WorldSpec`) declares the world
-    process.  A ``None``/all-default spec keeps the exact legacy static
-    single-target path below; dynamic worlds run the per-step-exact
-    reference execution (``world`` may also be an ``(n_targets, 2)``
-    array), which rejects ``record_visits``, explicit delays, and
-    speed/stagger scenarios.
+    process.  Every world shares the loop below (horizons, crash
+    lifetimes, detection coins, pruning, the ``Result``); only the
+    per-agent walk differs.  The paper's static single-target world (a
+    ``None``/all-default spec) walks :func:`run_agent`, which compares one
+    cell per step.  Other worlds precompute every target's per-step
+    position from ``derive_rng(seed, TARGET_STREAM)`` (``world`` may then
+    also be an ``(n_targets, 2)`` array) and walk the per-step-exact
+    reference :func:`_run_agent_dynamic`; they reject ``record_visits``,
+    explicit delays, and speed/stagger scenarios, which would decouple a
+    step index from the wall clock.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     wspec = resolve_world(world_spec)
-    if wspec is not None:
+    scn = resolve_scenario(scenario)
+    if wspec is None:
+        walk = functools.partial(
+            run_agent, algorithm, world,
+            record_visits=record_visits, stop_at_find=not record_visits,
+        )
+    else:
         if record_visits:
             raise ValueError(
                 "record_visits is not supported for dynamic worlds"
@@ -358,11 +287,24 @@ def run_search(
                 "start_delays are not supported for dynamic worlds in "
                 "the step engine"
             )
-        return _run_search_dynamic(
-            algorithm, world, wspec, k, seed,
-            horizon=horizon, prune=prune, scenario=scenario,
-        )
-    scn = resolve_scenario(scenario)
+        if scn is not None and (scn.speed_spread > 0 or scn.start_stagger > 0):
+            raise ValueError(
+                "the step engine runs dynamic worlds only with unit speeds "
+                "and simultaneous starts; use the vectorised engines for "
+                "speed/stagger scenarios"
+            )
+        horizon = int(horizon)
+        targets0 = initial_targets(world, wspec)
+        motion_rng = derive_rng(seed, TARGET_STREAM)
+        traj = _step_trajectory(wspec, targets0, horizon, motion_rng)
+        if wspec.arrival == "geometric":
+            arrivals = motion_rng.geometric(
+                wspec.arrival_hazard, size=wspec.n_targets
+            ).astype(np.float64)
+        else:
+            arrivals = np.zeros(wspec.n_targets, dtype=np.float64)
+        walk = functools.partial(_run_agent_dynamic, algorithm, traj, arrivals)
+
     delays = np.zeros(k, dtype=np.float64)
     if start_delays is not None:
         given = np.asarray(start_delays, dtype=np.float64)
@@ -378,6 +320,10 @@ def run_search(
         delays = delays + scn.delays(k)
         speeds = scn.speeds(k)
     perturbed = scn is not None or start_delays is not None
+    crash = scn is not None and scn.crash_hazard > 0
+    detection = composed_detection(
+        wspec, scn.detection_prob if scn is not None else None
+    )
 
     traces: List[AgentTrace] = []
     best_wall: Optional[float] = None
@@ -386,25 +332,19 @@ def run_search(
     for i in range(k):
         speed = float(speeds[i])
         delay = float(delays[i])
-        detect_rng = None
-        detection_prob = 1.0
         if perturbed:
             # Steps inside the wall-clock horizon: delay + t/speed <= horizon.
             agent_horizon = int(steps_within(horizon - delay, speed))
-            if scn is not None and (
-                scn.crash_hazard > 0 or scn.detection_prob < 1
-            ):
-                srng = derive_rng(seed, i, SCENARIO_STREAM)
-                if scn.crash_hazard > 0:
-                    lifetime = float(srng.geometric(scn.crash_hazard))
-                    agent_horizon = min(
-                        agent_horizon, int(steps_within(lifetime, speed))
-                    )
-                if scn.detection_prob < 1:
-                    detect_rng = srng
-                    detection_prob = scn.detection_prob
         else:
             agent_horizon = horizon
+        srng = None
+        if crash or detection is not None:
+            srng = derive_rng(seed, i, SCENARIO_STREAM)
+        if crash:
+            lifetime = float(srng.geometric(scn.crash_hazard))
+            agent_horizon = min(
+                agent_horizon, int(steps_within(lifetime, speed))
+            )
         if effective_prune and best_wall is not None:
             # Step t can only improve the record if delay + t/speed < best.
             if perturbed:
@@ -412,16 +352,12 @@ def run_search(
             else:
                 cap = int(best_wall) - 1
             agent_horizon = min(agent_horizon, max(cap, 0))
-        trace = run_agent(
-            algorithm,
-            world,
+        trace = walk(
             derive_rng(seed, i),
             agent_horizon,
             agent=i,
-            record_visits=record_visits,
-            stop_at_find=not record_visits,
-            detection_prob=detection_prob,
-            detect_rng=detect_rng,
+            detection_prob=1.0 if detection is None else detection,
+            detect_rng=srng if detection is not None else None,
         )
         traces.append(trace)
         if trace.find_time is not None:

@@ -59,6 +59,7 @@ from .world import (
     TargetTrack,
     World,
     WorldSpec,
+    composed_detection,
     initial_targets,
     resolve_world,
 )
@@ -162,16 +163,6 @@ def _scenario_state(
     return cum, speeds, crash_abs, q
 
 
-def _compose_detection(
-    spec: WorldSpec, q: Optional[float]
-) -> Optional[float]:
-    """World-level detection composed with the scenario's lossy knob."""
-    q_world = spec.detection_prob if spec.detection_prob < 1 else None
-    if q_world is None:
-        return q
-    return q_world if q is None else q_world * q
-
-
 def _simulate_find_times_dynamic(
     algorithm: ExcursionAlgorithm,
     targets0: np.ndarray,
@@ -214,7 +205,7 @@ def _simulate_find_times_dynamic(
             raise ValueError("start delays must be non-negative")
         cum = cum + np.broadcast_to(delays, (trials, k))
     cum, speeds, crash_abs, q = _scenario_state(scn, k, trials, cum, rng)
-    q_eff = _compose_detection(spec, q)
+    q_eff = composed_detection(spec, q)
     track = TargetTrack(spec, targets0, trials, motion_rng)
     best = np.full(trials, np.inf)
     cap = np.inf if horizon is None else float(horizon)

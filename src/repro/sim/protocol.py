@@ -12,10 +12,9 @@ per call).  This module pins the common contract as a
 cross-engine property tests, the sweep runner, and future callers can
 treat "an engine" as a value.
 
-The adapters add nothing on top of the underlying entry points: for a
-``None``/all-default ``world_spec`` each delegates to the structurally
-unchanged legacy code path, so going through the protocol is bitwise
-identical to calling the engine directly (pinned by
+The adapters add nothing on top of the underlying entry points, so
+going through the protocol is bitwise identical to calling the engine
+directly, for a ``None``/all-default ``world_spec`` too (pinned by
 ``tests/test_worldspec.py``).
 """
 

@@ -20,13 +20,21 @@ Two simulation shapes:
 
 * **segment-chunked** (:class:`BiasedWalker`, :class:`LevyWalker`):
   walkers consume whole straight segments rather than steps, each walker
-  on its own clock.  A segment's treasure hit is a closed-form ray test
-  (the treasure lies on the axis-aligned ray within the segment length),
+  on its own clock.  A segment's target hit is a closed-form ray test
+  (the target lies on the axis-aligned ray within the segment length),
   so a length-``L`` run costs O(1) work instead of ``L`` steps.  The
   correlated walk's per-step reorientation coin makes its straight runs
   geometric, so its headings are resampled per *run* — vectorised
   ``rng.geometric`` lengths with uniform headings — instead of per step;
   Lévy flights draw vectorised Zipf lengths the same way.
+
+Every world runs through a :class:`repro.sim.world.TargetTrack`, except
+the random walk's static treasure.  The segment walkers run the paper's
+static treasure as a one-target, never-moving track, so one hit test
+(:func:`_segment_hits`) serves every world.  The random walk keeps an
+elementwise static test beside :func:`_step_chunk_hits`, because the two
+draw lossy-detection coins in a different order relative to the slot's
+step cap, and merging them would reseed one side.
 
 Both shapes prune at trial granularity: once any walker of a trial has
 found, siblings whose clock has passed that find time are retired (their
@@ -69,6 +77,7 @@ from .world import (
     TargetTrack,
     World,
     WorldSpec,
+    composed_detection,
     initial_targets,
     resolve_world,
 )
@@ -82,6 +91,10 @@ __all__ = [
     "walker_find_times_block",
     "walker_find_times_batch",
 ]
+
+#: A world argument: a :class:`World`, a ``(tx, ty)`` pair, or (with a
+#: multi-target world spec) an ``(n_targets, 2)`` array.
+WorldLike = Union[World, Tuple[int, int], np.ndarray]
 
 #: Unit moves in the step-program order: +x, +y, -x, -y.
 _DIR_X = np.array([1, 0, -1, 0], dtype=np.int64)
@@ -121,6 +134,9 @@ class _SlotPlan:
     steps via its speed — so hits are valid iff ``step <= step_cap`` and a
     slot retires once its step clock reaches the cap.  ``None`` plan means
     "no scenario, no delays": the engines then keep the exact legacy path.
+    ``detection`` is the scenario's lossy-detection probability (``None``
+    when certain), before :func:`repro.sim.world.composed_detection`
+    folds in the world's.
     """
 
     speeds: np.ndarray
@@ -131,20 +147,6 @@ class _SlotPlan:
     def wall(self, slots: np.ndarray, steps) -> np.ndarray:
         """Wall-clock time of the given slots after ``steps`` steps."""
         return self.delays[slots] + steps / self.speeds[slots]
-
-    def mask_missed(self, hits: np.ndarray, rng: np.random.Generator):
-        """Clear hit cells whose detection coin fails (in place).
-
-        One coin per hit cell — each cell crossing is an independent
-        detection opportunity — flipped only at the rare hits rather than
-        per simulated step/segment.
-        """
-        if self.detection is not None:
-            hr, hc = np.nonzero(hits)
-            if hr.size:
-                missed = rng.random(hr.size) >= self.detection
-                hits[hr[missed], hc[missed]] = False
-        return hits
 
 
 def _slot_plan(
@@ -196,37 +198,30 @@ def _world_track(
     world_spec: Optional[WorldSpec],
     trials: int,
     seed: SeedLike,
-) -> Optional[TargetTrack]:
-    """Resolve the dynamic-world state, or ``None`` for the legacy path.
+) -> TargetTrack:
+    """The world's target track; a static treasure is a one-target track.
 
-    Mirrors :func:`repro.sim.world.resolve_world`'s structural contract:
-    a ``None``/all-default spec returns ``None`` before any randomness is
-    touched, so the static single-target code below it stays bitwise
-    identical.  Dynamic worlds draw their motion and arrival randomness
+    A ``None``/all-default spec (the paper's model) builds a one-target,
+    never-moving track without deriving a target stream, so it touches
+    no randomness.  Other worlds draw their motion and arrival randomness
     from ``derive_rng(seed, TARGET_STREAM)``, never from the walker's own
-    movement stream.
+    movement stream.  ``world`` is a :class:`World`, a ``(tx, ty)`` pair
+    or an ``(n_targets, 2)`` array of initial positions.
     """
     wspec = resolve_world(world_spec)
-    if wspec is None:
-        return None
-    targets0 = initial_targets(world, wspec)
-    return TargetTrack(
-        wspec, targets0, trials, derive_rng(seed, TARGET_STREAM)
-    )
-
-
-def _track_detection(
-    track: TargetTrack, plan: Optional[_SlotPlan]
-) -> Optional[float]:
-    """World-level detection composed with the scenario's lossy knob."""
-    q = track.spec.detection_prob
-    if plan is not None and plan.detection is not None:
-        q *= plan.detection
-    return q if q < 1 else None
+    spec = wspec or WorldSpec()
+    targets0 = initial_targets(world, spec)
+    motion_rng = None if wspec is None else derive_rng(seed, TARGET_STREAM)
+    return TargetTrack(spec, targets0, trials, motion_rng)
 
 
 def _mask_missed(valid: np.ndarray, q: Optional[float], rng) -> np.ndarray:
-    """Clear valid-hit cells whose detection coin fails (in place)."""
+    """Clear valid-hit cells whose detection coin fails (in place).
+
+    One coin per hit cell — each cell crossing is an independent
+    detection opportunity — flipped only at the rare hits rather than
+    per simulated step/segment.
+    """
     if q is not None:
         hr, hc = np.nonzero(valid)
         if hr.size:
@@ -244,6 +239,7 @@ def _step_chunk_hits(
     t: int,
     span: int,
     plan: Optional[_SlotPlan],
+    q: Optional[float],
     rng,
 ) -> np.ndarray:
     """Valid-hit matrix for one dynamic-world step chunk.
@@ -251,8 +247,8 @@ def _step_chunk_hits(
     Targets are frozen at the chunk's start time ``t`` — the walker
     engine's per-chunk motion granularity (pass a smaller ``chunk`` to
     refine it) — then each target is an elementwise position comparison,
-    arrival-gated in wall-clock time and detection-thinned with the world
-    knob composed with the scenario's.
+    arrival-gated in wall-clock time and detection-thinned with the
+    composed detection probability ``q``.
     """
     trials_idx = trial_of[alive]
     pos = track.positions_at(t)
@@ -263,7 +259,6 @@ def _step_chunk_hits(
     else:
         wall = steps.astype(np.float64)[None, :]
         cap_ok = None
-    q = _track_detection(track, plan)
     hit = np.zeros(px.shape, dtype=bool)
     for j in range(track.n):
         hj = (px == pos[trials_idx, j, 0][:, None]) & (
@@ -289,21 +284,26 @@ def _segment_hits(
     trial_of: np.ndarray,
     horizon: int,
     plan: Optional[_SlotPlan],
+    q: Optional[float],
     rng,
 ) -> np.ndarray:
-    """Per-slot earliest valid dynamic-world hit *step time* (inf when none).
+    """Per-slot earliest valid hit *step time* (inf when none).
 
     Targets are frozen at the chunk's earliest slot clock (monotone across
-    chunks: every surviving slot's clock only grows); each segment's
-    crossing of each target is the same closed-form ray test as the static
-    path.  Times along a slot's segment stream are monotone, so the
-    minimum over all (segment, target) entries is the slot's first valid
-    hit.
+    chunks: every surviving slot's clock only grows).  A segment crosses
+    a target iff the target lies on its axis-aligned ray within the
+    segment length: a closed-form test.  Hits count up to the slot's step
+    cap, then at or after the target's arrival, and each survives its
+    detection coin with probability ``q`` (a straight segment crosses a
+    cell at most once, so one coin per hitting segment is exact).  Hit
+    times along a slot's segment stream strictly increase (length-0
+    segments never hit), so the minimum over all (segment, target)
+    entries is the slot's first valid hit.
     """
     trials_idx = trial_of[alive]
     chunk_start = float(start_t[:, 0].min()) if start_t.size else 0.0
     pos = track.positions_at(chunk_start)
-    q = _track_detection(track, plan)
+    geometric = track.spec.arrival == "geometric"
     best_step = np.full(alive.size, np.inf)
     for j in range(track.n):
         txj = pos[trials_idx, j, 0][:, None]
@@ -319,11 +319,12 @@ def _segment_hits(
         hit_time = start_t + offset
         if plan is None:
             valid = hit & (hit_time <= horizon)
-            wall = hit_time.astype(np.float64)
         else:
             valid = hit & (hit_time <= plan.step_cap[alive, None])
-            wall = plan.wall(alive[:, None], hit_time.astype(np.float64))
-        if track.spec.arrival == "geometric":
+        if geometric:
+            wall = hit_time.astype(np.float64)
+            if plan is not None:
+                wall = plan.wall(alive[:, None], wall)
             valid = valid & (wall >= track.arrival[trials_idx, j][:, None])
         valid = _mask_missed(valid, q, rng)
         times = np.where(valid, hit_time.astype(np.float64), np.inf)
@@ -347,7 +348,7 @@ class Walker(ABC):
     @abstractmethod
     def find_times(
         self,
-        world: World,
+        world: WorldLike,
         k: int,
         trials: int,
         seed: SeedLike = None,
@@ -374,11 +375,13 @@ class Walker(ABC):
         (no scenario, no delays) is bitwise identical to the unperturbed
         engine.
 
-        ``world_spec`` (:class:`repro.sim.world.WorldSpec`) declares the
-        world process; a ``None``/all-default spec keeps the exact legacy
-        static single-target path (bitwise identical).  Dynamic worlds
-        freeze target positions per simulation chunk and ``world`` may
-        also be an ``(n_targets, 2)`` array of initial positions.
+        ``world`` is a :class:`World` or a ``(tx, ty)`` pair; with a
+        multi-target ``world_spec`` it may also be an ``(n_targets, 2)``
+        array of initial positions.  ``world_spec``
+        (:class:`repro.sim.world.WorldSpec`) declares the world process;
+        ``None`` or the all-default spec is the paper's static treasure
+        and draws no target randomness.  Moving targets are frozen per
+        simulation chunk.
         """
 
     @abstractmethod
@@ -396,7 +399,7 @@ class RandomWalker(Walker):
 
     def find_times(
         self,
-        world: World,
+        world: WorldLike,
         k: int,
         trials: int,
         seed: SeedLike = None,
@@ -410,8 +413,9 @@ class RandomWalker(Walker):
         horizon = _validate(k, trials, horizon)
         track = _world_track(world, world_spec, trials, seed)
         rng = make_rng(seed)
-        if track is None:
-            tx, ty = world.treasure
+        static = track.spec.is_default
+        if static:
+            tx, ty = track.positions_at(0)[0, 0]
         n = trials * k
         span_cap = _auto_chunk(n, chunk, floor=16, cap=8192)
         x = np.zeros(n, dtype=np.int64)
@@ -420,6 +424,9 @@ class RandomWalker(Walker):
         trial_best = np.full(trials, np.inf)
         alive = np.arange(n)
         plan = _slot_plan(scenario, start_delays, k, trials, horizon, rng)
+        q = composed_detection(
+            track.spec, plan.detection if plan is not None else None
+        )
         max_steps = horizon
         if plan is not None:
             alive = alive[plan.step_cap[alive] > 0]
@@ -430,7 +437,7 @@ class RandomWalker(Walker):
             moves = rng.integers(0, 4, size=(alive.size, span))
             px = x[alive, None] + np.cumsum(_DIR_X[moves], axis=1)
             py = y[alive, None] + np.cumsum(_DIR_Y[moves], axis=1)
-            if track is None:
+            if static:
                 hit = (px == tx) & (py == ty)
                 if plan is not None:
                     # Hit at chunk column j happens at step t + j + 1; only
@@ -439,10 +446,10 @@ class RandomWalker(Walker):
                     # the scenario's detection probability.
                     steps = t + 1 + np.arange(span, dtype=np.int64)
                     hit = hit & (steps[None, :] <= plan.step_cap[alive, None])
-                    hit = plan.mask_missed(hit, rng)
+                    hit = _mask_missed(hit, q, rng)
             else:
                 hit = _step_chunk_hits(
-                    track, px, py, alive, trial_of, t, span, plan, rng
+                    track, px, py, alive, trial_of, t, span, plan, q, rng
                 )
             any_hit = hit.any(axis=1)
             if np.any(any_hit):
@@ -501,7 +508,7 @@ class _SegmentWalker(Walker):
 
     def find_times(
         self,
-        world: World,
+        world: WorldLike,
         k: int,
         trials: int,
         seed: SeedLike = None,
@@ -515,10 +522,6 @@ class _SegmentWalker(Walker):
         horizon = _validate(k, trials, horizon)
         track = _world_track(world, world_spec, trials, seed)
         rng = make_rng(seed)
-        if track is None:
-            tx, ty = world.treasure
-        else:
-            tx = ty = 0
         n = trials * k
         segs = _auto_chunk(n, chunk, floor=16, cap=512)
         x = np.zeros(n, dtype=np.int64)
@@ -530,6 +533,9 @@ class _SegmentWalker(Walker):
         plan = _slot_plan(scenario, start_delays, k, trials, horizon, rng)
         if plan is not None:
             alive = alive[plan.step_cap[alive] > 0]
+        q = composed_detection(
+            track.spec, plan.detection if plan is not None else None
+        )
 
         first_block = self._initial_segments(rng, n)
         if first_block is not None:
@@ -538,21 +544,20 @@ class _SegmentWalker(Walker):
                 lengths, dirs = lengths[alive], dirs[alive]
             alive = self._consume(
                 x, y, t, trial_of, trial_best, alive,
-                lengths[:, None], dirs[:, None], tx, ty, horizon, plan, rng,
-                track,
+                lengths[:, None], dirs[:, None], track, horizon, plan, q, rng,
             )
         while alive.size:
             lengths, dirs = self._sample_segments(rng, alive.size, segs)
             alive = self._consume(
                 x, y, t, trial_of, trial_best, alive,
-                lengths, dirs, tx, ty, horizon, plan, rng, track,
+                lengths, dirs, track, horizon, plan, q, rng,
             )
         return trial_best
 
     @staticmethod
     def _consume(
-        x, y, t, trial_of, trial_best, alive, lengths, dirs, tx, ty, horizon,
-        plan=None, rng=None, track=None,
+        x, y, t, trial_of, trial_best, alive, lengths, dirs, track, horizon,
+        plan, q, rng,
     ) -> np.ndarray:
         """Walk one ``(alive, segments)`` block; returns the surviving rows."""
         dx = _DIR_X[dirs]
@@ -565,61 +570,21 @@ class _SegmentWalker(Walker):
         start_x = end_x - step_x
         start_y = end_y - step_y
         start_t = end_t - lengths
-        if track is None:
-            # Ray test: steps along the segment's axis to reach the treasure.
-            off_x = (tx - start_x) * dx
-            off_y = (ty - start_y) * dy
-            hit = np.where(
-                dx != 0,
-                (start_y == ty) & (off_x >= 1) & (off_x <= lengths),
-                (start_x == tx) & (off_y >= 1) & (off_y <= lengths),
-            )
-            offset = np.where(dx != 0, off_x, off_y)
-            hit_time = start_t + offset
+        find_step = _segment_hits(
+            track, start_x, start_y, start_t, dx, dy, lengths,
+            alive, trial_of, horizon, plan, q, rng,
+        )
+        any_hit = np.isfinite(find_step)
+        if np.any(any_hit):
             if plan is None:
-                valid = hit & (hit_time <= horizon)
+                np.minimum.at(
+                    trial_best, trial_of[alive[any_hit]], find_step[any_hit]
+                )
             else:
-                # Per-slot caps fold the wall-clock horizon and the crash time
-                # into one step bound; each crossing is noticed only with the
-                # scenario's detection probability (a straight segment crosses
-                # a fixed cell at most once, so one coin per hitting segment
-                # is exact).
-                valid = hit & (hit_time <= plan.step_cap[alive, None])
-                valid = plan.mask_missed(valid, rng)
-            any_hit = valid.any(axis=1)
-            if np.any(any_hit):
-                first = np.argmax(valid[any_hit], axis=1)
-                if plan is None:
-                    np.minimum.at(
-                        trial_best,
-                        trial_of[alive[any_hit]],
-                        hit_time[any_hit, first].astype(np.float64),
-                    )
-                else:
-                    sel = alive[any_hit]
-                    np.minimum.at(
-                        trial_best,
-                        trial_of[sel],
-                        plan.wall(sel, hit_time[any_hit, first].astype(np.float64)),
-                    )
-        else:
-            find_step = _segment_hits(
-                track, start_x, start_y, start_t, dx, dy, lengths,
-                alive, trial_of, horizon, plan, rng,
-            )
-            any_hit = np.isfinite(find_step)
-            if np.any(any_hit):
-                if plan is None:
-                    np.minimum.at(
-                        trial_best, trial_of[alive[any_hit]],
-                        find_step[any_hit],
-                    )
-                else:
-                    sel = alive[any_hit]
-                    np.minimum.at(
-                        trial_best, trial_of[sel],
-                        plan.wall(sel, find_step[any_hit]),
-                    )
+                sel = alive[any_hit]
+                np.minimum.at(
+                    trial_best, trial_of[sel], plan.wall(sel, find_step[any_hit])
+                )
         x[alive] = end_x[:, -1]
         y[alive] = end_y[:, -1]
         t[alive] = end_t[:, -1]
@@ -697,12 +662,9 @@ class LevyWalker(_SegmentWalker):
         return LevyFlightSearch(self.mu, self.max_segment)
 
 
-WorldLike = Union[World, Tuple[int, int]]
-
-
 def walker_find_times(
     walker: Walker,
-    world: World,
+    world: WorldLike,
     k: int,
     trials: int,
     seed: SeedLike = None,
@@ -722,7 +684,7 @@ def walker_find_times(
 
 def walker_find_times_block(
     walker: Walker,
-    world: World,
+    world: WorldLike,
     k: int,
     trials: int,
     root_seed: SeedLike,
@@ -782,20 +744,12 @@ def walker_find_times_batch(
     """
     if len(worlds) == 0:
         raise ValueError("worlds must be non-empty")
-    if resolve_world(world_spec) is None:
-        resolved = [
-            w if isinstance(w, World) else World(tuple(w)) for w in worlds
-        ]
-    else:
-        # Dynamic worlds: each entry may be an (n_targets, 2) initial-
-        # position array; find_times normalises it.
-        resolved = list(worlds)
     rows = [
         walker.find_times(
             w, k, trials, s, horizon=horizon, chunk=chunk,
             scenario=scenario, start_delays=start_delays,
             world_spec=world_spec,
         )
-        for w, s in zip(resolved, spawn_seeds(seed, len(resolved)))
+        for w, s in zip(worlds, spawn_seeds(seed, len(worlds)))
     ]
     return np.stack(rows)

@@ -50,10 +50,11 @@ and how reliably a crossing detects them (see DESIGN.md §10):
 Determinism contract: all motion, arrival, and extra-placement randomness
 is drawn from streams derived via the registered ``TARGET_STREAM`` /
 ``PLACEMENT_DRAW_STREAM`` tags, never from the searcher's own stream — so
-an algorithm's excursion draws stay paired across world settings, and the
+an algorithm's excursion draws stay paired across world settings.  The
 static single-target default (canonicalised to ``None`` by
-:func:`resolve_world`) takes the structurally unchanged legacy code path
-in every engine.
+:func:`resolve_world`) draws from none of them: the excursion kernel and
+the random walk keep a separate static path for it, and the step engine
+and the segment walkers run it as a one-target, never-moving world.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ __all__ = [
     "TargetTrack",
     "World",
     "WorldSpec",
+    "composed_detection",
     "initial_targets",
     "place_targets",
     "place_treasure",
@@ -250,10 +252,11 @@ class WorldSpec:
 def resolve_world(world: Optional[WorldSpec]) -> Optional[WorldSpec]:
     """Canonicalise: a ``None`` or all-default world resolves to ``None``.
 
-    Engines branch on the result — ``None`` means "take the exact legacy
-    code path" — so the static single-target guarantee is structural
-    rather than a property of careful arithmetic, mirroring
-    :func:`repro.scenarios.resolve_scenario`.
+    ``None`` means the paper's static single-target world, which draws
+    no target-stream randomness in any engine.  The excursion kernel and
+    the random walk branch on it to keep their separate static path; the
+    step engine and the segment walkers run it as a one-target world.
+    Mirrors :func:`repro.scenarios.resolve_scenario`.
     """
     if world is None:
         return None
@@ -262,6 +265,21 @@ def resolve_world(world: Optional[WorldSpec]) -> Optional[WorldSpec]:
             f"world must be a WorldSpec or None, got {type(world).__name__}"
         )
     return None if world.is_default else world
+
+
+def composed_detection(
+    spec: Optional[WorldSpec], scenario_prob: Optional[float]
+) -> Optional[float]:
+    """Per-crossing detection probability, ``None`` when detection is certain.
+
+    The one rule every engine uses: the world's ``detection_prob`` times
+    the scenario's lossy-detection probability (``None`` for either means
+    certain), as ``q_world * q_scenario``.
+    """
+    q = 1.0 if spec is None else spec.detection_prob
+    if scenario_prob is not None:
+        q *= scenario_prob
+    return q if q < 1.0 else None
 
 
 def place_treasure(
@@ -367,7 +385,9 @@ class TargetTrack:
     ``Binomial(dt, rate)`` draw for the step count plus one multinomial
     for the direction split.  All randomness comes from the dedicated
     ``motion_rng`` (the ``TARGET_STREAM`` derivation), so the searcher's
-    own draws stay paired across world settings.
+    own draws stay paired across world settings.  Only drift, walk and
+    geometric arrival draw from it, so a static, present world may pass
+    ``None``.
     """
 
     def __init__(
@@ -375,7 +395,7 @@ class TargetTrack:
         spec: WorldSpec,
         targets0: np.ndarray,
         trials: int,
-        motion_rng: np.random.Generator,
+        motion_rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.spec = spec
         self.trials = trials
@@ -410,11 +430,11 @@ class TargetTrack:
         non-decreasing per trial across calls (non-advancing or stale
         queries are no-ops for the stateful ``walk`` motion).
         """
+        if self.spec.motion == "static":
+            return self._pos
         t = np.floor(
             np.maximum(np.where(np.isfinite(query), query, 0.0), 0.0)
         ).astype(np.int64)
-        if self.spec.motion == "static":
-            return self._pos
         if self.spec.motion == "drift":
             steps = np.floor(
                 self.spec.motion_rate * t.astype(np.float64)

@@ -404,6 +404,29 @@ class TestCacheCommand:
         assert "sweep_nonuniform_" in out
         assert "nonuniform" in out and "size_kb" in out
 
+    def test_cache_list_names_journal_and_unreadable(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.sweep import SweepSpec
+        from repro.sweep.cache import journal_path, save_journal
+
+        spec = SweepSpec(
+            algorithm="nonuniform", distances=(8,), ks=(1,), trials=4, seed=3
+        )
+        times = np.arange(4, dtype=np.float64)
+        assert save_journal(
+            spec, journal_path(spec, str(tmp_path)), {(8, 1): times}
+        )
+        (tmp_path / "sweep_nonuniform_broken.npz").write_bytes(b"not a zip")
+        assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines() if ".npz" in line]
+        assert sorted(row[1] for row in rows) == ["journal", "unreadable"]
+        journal_row = next(row for row in rows if row[1] == "journal")
+        assert journal_row[3:5] == ["1", "4"]
+        for kind in ("sweep", "blocks", "journal", "unreadable"):
+            assert f"{kind} = " in " ".join(out.split())
+
     def test_cache_list_empty_dir(self, tmp_path, capsys):
         assert main(["cache", "list", "--cache-dir", str(tmp_path)]) == 0
         assert "0 entries" in capsys.readouterr().out

@@ -20,6 +20,7 @@ import pytest
 from scipy import stats
 
 from repro.algorithms.baselines import random_walk_find_times
+from repro.scenarios import ScenarioSpec
 from repro.sim.engine import run_agent
 from repro.sim.rng import derive_rng, spawn_seeds
 from repro.sim.walkers import (
@@ -145,6 +146,28 @@ class TestReproducibility:
             for row, world, child in zip(matrix, worlds, seeds):
                 direct = walker.find_times(world, 2, 80, child, horizon=150)
                 assert np.array_equal(row, direct)
+
+    @pytest.mark.parametrize(
+        "scenario", [None, ScenarioSpec(detection_prob=0.6, crash_hazard=0.01)]
+    )
+    def test_pair_and_world_are_bitwise_equal(self, scenario):
+        """A static world may be given as a ``(tx, ty)`` pair."""
+        for walker in (RandomWalker(), BiasedWalker(0.8), LevyWalker(2.0)):
+            a = walker.find_times(
+                World((2, -1)), 3, 60, seed=56, horizon=150, chunk=9,
+                scenario=scenario,
+            )
+            b = walker.find_times(
+                (2, -1), 3, 60, seed=56, horizon=150, chunk=9,
+                scenario=scenario,
+            )
+            assert np.isfinite(a).any()
+            assert np.array_equal(a, b)
+
+    def test_pair_on_the_source_is_rejected(self):
+        for walker in (RandomWalker(), BiasedWalker(0.8), LevyWalker(2.0)):
+            with pytest.raises(ValueError, match="source"):
+                walker.find_times((0, 0), 1, 3, 0, horizon=50)
 
     def test_functional_wrapper_matches_method(self):
         world = place_treasure(3, "axis")
