@@ -1,4 +1,8 @@
-"""Analysis: competitive ratios, estimators, scaling fits, lower-bound machinery."""
+"""Analysis: competitive ratios, tail shapes, scaling fits, lower-bound machinery.
+
+Find-time estimators (moments, censoring, success rates, Wilson
+intervals) live in :mod:`repro.stats`.
+"""
 
 from .competitiveness import (
     CompetitivenessCell,
@@ -13,14 +17,6 @@ from .distributions import (
     hill_estimator,
     survival_at,
     tail_is_geometric,
-)
-from .estimators import (
-    Welford,
-    mean_with_ci,
-    quantiles,
-    success_rate,
-    truncated_mean,
-    wilson_interval,
 )
 from .fitting import FitResult, fit_polylog, fit_power_law, r_squared
 from .lower_bounds import (
@@ -46,7 +42,6 @@ __all__ = [
     "AnnulusLoad",
     "CompetitivenessCell",
     "FitResult",
-    "Welford",
     "adversarial_treasure",
     "annulus_load_profile",
     "assertion2_phase_index",
@@ -63,18 +58,13 @@ __all__ = [
     "harmonic_sum_divergence",
     "harmonic_time_bound",
     "lower_bound_time",
-    "mean_with_ci",
     "measure_competitiveness",
     "nonuniform_stage_time_bound",
     "optimal_time",
-    "quantiles",
     "r_squared",
-    "success_rate",
     "sweep_competitiveness",
-    "truncated_mean",
     "uniform_critical_stage",
     "uniform_stage_time",
     "visit_probability_map",
-    "wilson_interval",
     "zeta_constant",
 ]

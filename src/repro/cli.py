@@ -836,8 +836,8 @@ def _cmd_cache(args) -> int:
             print(f"  {os.path.basename(entry.path)}")
         if reclaimed:
             print(
-                f"reclaimed {len(reclaimed)} stale temp/quarantine "
-                f"file(s) left by crashed writers"
+                f"reclaimed {len(reclaimed)} stale temp, quarantine or "
+                f"sidecar file(s)"
             )
         return 0
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")

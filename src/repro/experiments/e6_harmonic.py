@@ -21,9 +21,9 @@ from typing import List
 
 import numpy as np
 
-from ..analysis.estimators import wilson_interval
 from ..analysis.theory import harmonic_failure_bound, harmonic_time_bound
 from ..sim.rng import derive_seed
+from ..stats import wilson_interval
 from ..sweep import SweepSpec, run_sweep
 from .config import scale
 from .io import ResultTable

@@ -260,10 +260,11 @@ def run_search(
     process.  Every world shares the loop below (horizons, crash
     lifetimes, detection coins, pruning, the ``Result``); only the
     per-agent walk differs.  The paper's static single-target world (a
-    ``None``/all-default spec) walks :func:`run_agent`, which compares one
-    cell per step.  Other worlds precompute every target's per-step
-    position from ``derive_rng(seed, TARGET_STREAM)`` (``world`` may then
-    also be an ``(n_targets, 2)`` array) and walk the per-step-exact
+    ``None``/all-default spec; ``world`` a :class:`World` or a ``(tx, ty)``
+    pair) walks :func:`run_agent`, which compares one cell per step.
+    Other worlds precompute every target's per-step position from
+    ``derive_rng(seed, TARGET_STREAM)`` (``world`` may then also be an
+    ``(n_targets, 2)`` array) and walk the per-step-exact
     reference :func:`_run_agent_dynamic`; they reject ``record_visits``,
     explicit delays, and speed/stagger scenarios, which would decouple a
     step index from the wall clock.
@@ -273,8 +274,10 @@ def run_search(
     wspec = resolve_world(world_spec)
     scn = resolve_scenario(scenario)
     if wspec is None:
+        # Plain ints keep run_agent's per-step tuple compare cheap.
+        (tx, ty), = initial_targets(world, WorldSpec()).tolist()
         walk = functools.partial(
-            run_agent, algorithm, world,
+            run_agent, algorithm, World(treasure=(tx, ty)),
             record_visits=record_visits, stop_at_find=not record_visits,
         )
     else:

@@ -45,9 +45,9 @@ class Engine(Protocol):
     ``find_times`` returns a float array of shape ``(trials,)`` — the
     first find time per execution, ``inf`` when truncated — for any
     supported ``(strategy, world, world_spec, scenario)`` combination.
-    ``world`` is a :class:`repro.sim.world.World` for static single-target
-    runs and may be an ``(n_targets, 2)`` initial-position array when a
-    non-default ``world_spec`` is given.
+    ``world`` is a :class:`repro.sim.world.World` or a ``(tx, ty)`` pair
+    for static single-target runs and may be an ``(n_targets, 2)``
+    initial-position array when a non-default ``world_spec`` is given.
     """
 
     name: str

@@ -1,15 +1,15 @@
 """Streaming statistics and trial-budget policies (the precision layer).
 
-The paper's results are statements about *expectations and tails* of find
-times, so the right question for a sweep cell is never "did we run 60
-trials?" but "do we know the mean to the precision the claim needs?".
-This package supplies the two halves of that question:
+The paper's results are statements about *expectations and success
+probabilities* of find times, so the right question for a sweep cell is
+never "did we run 60 trials?" but "do we know the mean to the precision
+the claim needs?".  This package is the program's one statistics layer
+and supplies the two halves of that question:
 
 * :mod:`repro.stats.accumulators` — mergeable streaming accumulators
-  (Welford moments, Wilson success counts, P² quantiles, reservoir
-  samples with bootstrap CIs) and the censoring-aware
-  :class:`FindTimeAccumulator` / :class:`FindTimeSummary` pair that the
-  sweep stack and the experiment tables consume;
+  (Welford moments, Wilson success counts) and the censoring-aware
+  :class:`FindTimeAccumulator` / :class:`FindTimeSummary` pair that every
+  sweep cell, CLI table and adaptive stopping decision reads;
 * :mod:`repro.stats.policy` — the serialisable :class:`BudgetPolicy`
   (``fixed`` / ``target_rel_ci`` / ``wall``) that
   :class:`repro.sweep.spec.SweepSpec` carries and the incremental runner
@@ -24,8 +24,6 @@ processes, analysis notebooks, the CLI.
 from .accumulators import (
     FindTimeAccumulator,
     FindTimeSummary,
-    P2Quantile,
-    ReservoirSample,
     StreamingMoments,
     SuccessCounter,
     normal_quantile,
@@ -38,8 +36,6 @@ __all__ = [
     "BudgetPolicy",
     "FindTimeAccumulator",
     "FindTimeSummary",
-    "P2Quantile",
-    "ReservoirSample",
     "StreamingMoments",
     "SuccessCounter",
     "normal_quantile",

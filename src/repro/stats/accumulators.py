@@ -17,11 +17,6 @@ pieces:
 * :class:`StreamingMoments` — Welford/Chan mean and variance;
 * :class:`SuccessCounter` — binomial counts with Wilson score intervals
   (:func:`wilson_interval` is the module-level closed form);
-* :class:`P2Quantile` — the P² marker algorithm: one streaming quantile
-  in O(1) state (stream-only: P² state is not mergeable, by construction);
-* :class:`ReservoirSample` — bounded uniform subsample of the stream,
-  mergeable, the basis for bootstrap confidence intervals and arbitrary
-  quantiles;
 * :class:`FindTimeAccumulator` — the composite the sweep stack uses: it
   understands censoring (non-finite times, or times past a horizon) and
   produces a :class:`FindTimeSummary` with the truncated mean, its CI
@@ -35,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +39,6 @@ __all__ = [
     "wilson_interval",
     "StreamingMoments",
     "SuccessCounter",
-    "P2Quantile",
-    "ReservoirSample",
     "FindTimeSummary",
     "FindTimeAccumulator",
     "summarize_times",
@@ -105,8 +98,7 @@ def wilson_interval(
 
     Better behaved than the normal approximation at the extremes — which
     is where success-probability curves (Theorem 5.1) and crash-hazard
-    cliffs (E11) live.  This is the canonical implementation;
-    :func:`repro.analysis.estimators.wilson_interval` delegates here.
+    cliffs (E11) live.
     """
     if total <= 0:
         raise ValueError(f"total must be positive, got {total}")
@@ -241,192 +233,6 @@ class SuccessCounter:
         return wilson_interval(self.successes, self.total, confidence)
 
 
-class P2Quantile:
-    """The P² streaming quantile estimator (Jain & Chlamtac 1985).
-
-    Tracks one quantile ``q`` with five markers in O(1) state; below five
-    observations the exact empirical quantile of the buffer is returned.
-    P² state is *order-dependent* and not mergeable — use
-    :class:`ReservoirSample` where merge is required (the composite
-    accumulator does).
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_rate", "_buffer")
-
-    def __init__(self, q: float) -> None:
-        if not 0 < q < 1:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._buffer: list = []
-        self._heights: Optional[np.ndarray] = None
-        self._positions = np.arange(1, 6, dtype=np.float64)
-        self._desired = np.array(
-            [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0], dtype=np.float64
-        )
-        self._rate = np.array([0.0, q / 2, q, (1 + q) / 2, 1.0], dtype=np.float64)
-
-    @property
-    def count(self) -> int:
-        if self._heights is None:
-            return len(self._buffer)
-        return int(self._positions[4])
-
-    def update(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"P2 requires finite values, got {value}")
-        if self._heights is None:
-            self._buffer.append(value)
-            if len(self._buffer) == 5:
-                self._heights = np.sort(np.asarray(self._buffer, dtype=np.float64))
-                self._buffer = []
-            return
-        h = self._heights
-        if value < h[0]:
-            h[0] = value
-            cell = 0
-        elif value >= h[4]:
-            h[4] = value
-            cell = 3
-        else:
-            cell = int(np.searchsorted(h, value, side="right")) - 1
-            cell = min(max(cell, 0), 3)
-        self._positions[cell + 1:] += 1
-        self._desired += self._rate
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            below = self._positions[i] - self._positions[i - 1]
-            above = self._positions[i + 1] - self._positions[i]
-            if (d >= 1 and above > 1) or (d <= -1 and below > 1):
-                step = 1.0 if d >= 1 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # fall back to linear interpolation
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (
-                        self._positions[j] - self._positions[i]
-                    )
-                self._positions[i] += step
-
-    def update_block(self, values) -> None:
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.update(value)
-
-    def _parabolic(self, i: int, step: float) -> float:
-        n = self._positions
-        h = self._heights
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (``nan`` before any observation)."""
-        if self._heights is not None:
-            return float(self._heights[2])
-        if not self._buffer:
-            return math.nan
-        ordered = sorted(self._buffer)
-        idx = min(int(self.q * (len(ordered) - 1) + 0.5), len(ordered) - 1)
-        return float(ordered[idx])
-
-
-class ReservoirSample:
-    """Bounded uniform subsample of a stream (Vitter's algorithm R).
-
-    Holds at most ``capacity`` values; after ``seen`` observations each
-    one is retained with probability ``capacity / seen``.  ``merge``
-    draws a weighted subsample from the union, so merged reservoirs stay
-    (approximately) exchangeable with a single-pass reservoir over the
-    concatenated stream.  Randomness is owned by the accumulator (seeded
-    at construction) so results are reproducible.
-    """
-
-    __slots__ = ("capacity", "seen", "_values", "_rng")
-
-    def __init__(self, capacity: int = 512, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.seen = 0
-        self._values: list = []
-        self._rng = np.random.default_rng(seed)
-
-    def update(self, value: float) -> None:
-        self.seen += 1
-        if len(self._values) < self.capacity:
-            self._values.append(float(value))
-            return
-        j = int(self._rng.integers(0, self.seen))
-        if j < self.capacity:
-            self._values[j] = float(value)
-
-    def update_block(self, values) -> None:
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.update(value)
-
-    def merge(self, other: "ReservoirSample") -> "ReservoirSample":
-        """Weighted subsample of the union of both reservoirs (in place)."""
-        if other.seen == 0:
-            return self
-        if self.seen == 0:
-            self.seen = other.seen
-            self._values = list(other._values)
-            if len(self._values) > self.capacity:
-                # The donor may be wider than this reservoir; subsample
-                # down so the capacity invariant (and uniformity) holds.
-                chosen = self._rng.choice(
-                    len(self._values), size=self.capacity, replace=False
-                )
-                self._values = [self._values[i] for i in chosen]
-            return self
-        mine = np.asarray(self._values, dtype=np.float64)
-        theirs = np.asarray(other._values, dtype=np.float64)
-        pool = np.concatenate([mine, theirs])
-        # Each retained value represents seen/len(values) stream items.
-        weights = np.concatenate(
-            [
-                np.full(mine.size, self.seen / mine.size),
-                np.full(theirs.size, other.seen / theirs.size),
-            ]
-        )
-        weights = weights / weights.sum()
-        keep = min(self.capacity, pool.size)
-        chosen = self._rng.choice(pool.size, size=keep, replace=False, p=weights)
-        self._values = [float(v) for v in pool[chosen]]
-        self.seen += other.seen
-        return self
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=np.float64)
-
-    def quantile(self, q: float) -> float:
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._values:
-            return math.nan
-        return float(np.quantile(self.values, q))
-
-    def bootstrap_mean_ci(
-        self, confidence: float = 0.95, n_boot: int = 1000
-    ) -> Tuple[float, float]:
-        """Percentile-bootstrap CI for the mean, from the reservoir."""
-        if not 0 < confidence < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-        data = self.values
-        if data.size == 0:
-            return (math.nan, math.nan)
-        if data.size == 1:
-            return (float(data[0]), float(data[0]))
-        idx = self._rng.integers(0, data.size, size=(n_boot, data.size))
-        boot = data[idx].mean(axis=1)
-        lo, hi = np.quantile(boot, [(1 - confidence) / 2, (1 + confidence) / 2])
-        return float(lo), float(hi)
-
-
 @dataclass(frozen=True)
 class FindTimeSummary:
     """Point-in-time view of a :class:`FindTimeAccumulator`.
@@ -450,7 +256,6 @@ class FindTimeSummary:
     wilson_high: float
     censored_fraction: float
     horizon: Optional[float]
-    quantiles: Dict[float, float]
 
     @property
     def is_lower_bound(self) -> bool:
@@ -470,17 +275,11 @@ class FindTimeAccumulator:
     the defect visible.
 
     Mergeable: two accumulators with the same horizon/confidence built
-    from disjoint blocks merge into the accumulator of the union (the
-    reservoir merge is a weighted resample; everything else is exact).
+    from disjoint blocks merge into the accumulator of the union.
     """
 
     def __init__(
-        self,
-        horizon: Optional[float] = None,
-        confidence: float = 0.95,
-        reservoir_capacity: int = 0,
-        reservoir_seed: int = 0,
-        quantiles: Sequence[float] = (),
+        self, horizon: Optional[float] = None, confidence: float = 0.95
     ) -> None:
         if horizon is not None and (not math.isfinite(horizon) or horizon <= 0):
             horizon = None if horizon == math.inf else horizon
@@ -494,12 +293,6 @@ class FindTimeAccumulator:
         self.censored = 0
         self.moments = StreamingMoments()
         self.successes = SuccessCounter()
-        self.reservoir = (
-            ReservoirSample(reservoir_capacity, seed=reservoir_seed)
-            if reservoir_capacity
-            else None
-        )
-        self._quantile_qs = tuple(float(q) for q in quantiles)
 
     def update(self, times) -> None:
         block = np.asarray(times, dtype=np.float64).ravel()
@@ -515,8 +308,6 @@ class FindTimeAccumulator:
         self.censored += int(block.size - found.sum())
         self.moments.update_block(observed)
         self.successes.update_block(int(found.sum()), int(block.size))
-        if self.reservoir is not None:
-            self.reservoir.update_block(observed)
 
     def merge(self, other: "FindTimeAccumulator") -> "FindTimeAccumulator":
         if (self.horizon, self.confidence) != (other.horizon, other.confidence):
@@ -529,8 +320,6 @@ class FindTimeAccumulator:
         self.censored += other.censored
         self.moments.merge(other.moments)
         self.successes.merge(other.successes)
-        if self.reservoir is not None and other.reservoir is not None:
-            self.reservoir.merge(other.reservoir)
         return self
 
     def summary(self) -> FindTimeSummary:
@@ -542,10 +331,6 @@ class FindTimeAccumulator:
         else:
             rel_ci = ci / mean
         wilson_low, wilson_high = self.successes.wilson(self.confidence)
-        quantiles: Dict[float, float] = {}
-        if self.reservoir is not None:
-            for q in self._quantile_qs:
-                quantiles[q] = self.reservoir.quantile(q)
         return FindTimeSummary(
             count=self.count,
             mean=mean,
@@ -558,7 +343,6 @@ class FindTimeAccumulator:
             wilson_high=wilson_high,
             censored_fraction=self.censored / self.count if self.count else 0.0,
             horizon=self.horizon,
-            quantiles=quantiles,
         )
 
 

@@ -25,8 +25,11 @@ Three kinds of entry share one directory, in two layouts:
     ``format: "journal"``): the finished cells of a running fixed-path
     sweep, keyed by the full spec, deleted once the v1 entry is written.
 
-Every read goes through :func:`_read_entry`, which runs the fault seam,
-opens the archive, parses the metadata and quarantines broken entries.
+Every entry is one ``.npz`` file and nothing else: its JSON ``meta``
+member is the only metadata, for loading and for listing alike.  Every
+read goes through :func:`_read_entry`, which runs the fault seam, opens
+the archive, parses the metadata and quarantines broken entries;
+``repro-ants cache list`` decompresses only the ``meta`` member.
 
 Storing raw times rather than summary statistics means cached sweeps can
 answer *new* questions (quantiles, success rates under a different
@@ -77,12 +80,10 @@ __all__ = [
     "prune_entries",
 ]
 
-#: Sidecar manifest suffix: ``<entry>.npz`` pairs with
-#: ``<entry>.npz.manifest.json`` holding just the listing metadata
-#: (kind, algorithm, cell/trial counts) plus the npz byte size it was
-#: derived from, so ``repro-ants cache list`` is O(entries) — it never
-#: opens an archive whose sidecar is present and consistent.
-MANIFEST_SUFFIX = ".manifest.json"
+#: Older versions wrote a listing sidecar ``<entry>.npz.manifest.json``
+#: next to every entry; nothing reads them now, and
+#: :func:`clean_stale_files` reclaims them.
+_LEGACY_SIDECAR_SUFFIX = ".manifest.json"
 
 #: Lockfile suffix serialising block-store read-merge-write cycles:
 #: ``<entry>.npz`` pairs with ``<entry>.npz.lock`` while a writer is
@@ -147,10 +148,6 @@ def _quarantine(path: str, kind: str) -> bool:
         os.replace(path, path + QUARANTINE_SUFFIX)
     except OSError:
         return False
-    try:
-        os.unlink(path + MANIFEST_SUFFIX)
-    except OSError:
-        pass
     if BUS.enabled:
         BUS.counter(
             "cache.quarantine", kind=kind, path=os.path.basename(path)
@@ -522,12 +519,11 @@ def save_journal(
 
 
 def clear_journal(path: str) -> None:
-    """Remove a completed sweep's journal (and its manifest sidecar)."""
-    for target in (path, path + MANIFEST_SUFFIX):
-        try:
-            os.unlink(target)
-        except OSError:
-            pass
+    """Remove a completed sweep's journal."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def clean_stale_files(
@@ -536,11 +532,12 @@ def clean_stale_files(
     max_age_s: float = STALE_FILE_SECONDS,
     now: Optional[float] = None,
 ) -> List[str]:
-    """Reclaim crash droppings: stale temp files and old quarantines.
+    """Reclaim droppings: stale temp files, old quarantines, old sidecars.
 
     A writer killed between temp write and rename orphans a
-    ``.sweep_tmp_*`` file forever (nothing else ever looks at it), and
-    quarantined entries keep their bytes only for forensics.  Both are
+    ``.sweep_tmp_*`` file forever (nothing else ever looks at it),
+    quarantined entries keep their bytes only for forensics, and listing
+    sidecars written by older versions are read by nothing.  All are
     removed once older than ``max_age_s`` — young files are left alone
     so a *live* concurrent writer's temp is never pulled out from under
     it.  Called at sweep startup and by ``repro-ants cache prune``;
@@ -555,7 +552,8 @@ def clean_stale_files(
     removed: List[str] = []
     for name in sorted(names):
         if not (
-            name.startswith(TMP_PREFIX) or name.endswith(QUARANTINE_SUFFIX)
+            name.startswith(TMP_PREFIX)
+            or name.endswith((QUARANTINE_SUFFIX, _LEGACY_SIDECAR_SUFFIX))
         ):
             continue
         path = os.path.join(directory, name)
@@ -571,7 +569,7 @@ def clean_stale_files(
     return removed
 
 
-def _manifest_record(meta: Dict, npz_size: int) -> Dict:
+def _manifest_record(meta: Dict) -> Dict:
     """The listing-facing summary of one entry's metadata.
 
     Raises on malformed metadata, like the readers do.
@@ -590,17 +588,11 @@ def _manifest_record(meta: Dict, npz_size: int) -> Dict:
         "algorithm": identity.get("algorithm", "?"),
         "cells": len(cells),
         "trials": trials,
-        "npz_size": npz_size,
     }
 
 
 def _atomic_savez(path: str, meta: Dict, arrays: Dict[str, np.ndarray]) -> bool:
-    """Write an npz with a JSON ``meta`` record via temp file + rename.
-
-    A consistent sidecar manifest (see :data:`MANIFEST_SUFFIX`) is
-    written after the rename; it is pure derived data, so a failed or
-    missing sidecar only costs ``list_entries`` an archive open.
-    """
+    """Write an npz with a JSON ``meta`` record via temp file + rename."""
     crash_before_rename = False
     if FAULTS.enabled:
         rule = FAULTS.check("cache.write")
@@ -630,21 +622,6 @@ def _atomic_savez(path: str, meta: Dict, arrays: Dict[str, np.ndarray]) -> bool:
             raise
     except OSError:
         return False
-    try:
-        manifest = _manifest_record(meta, os.path.getsize(path))
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=TMP_PREFIX, suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(manifest, handle)
-            os.replace(tmp, path + MANIFEST_SUFFIX)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError:
-        pass  # best-effort: listing falls back to opening the npz
     return True
 
 
@@ -661,51 +638,15 @@ class CacheEntry:
     mtime: float
 
 
-def _read_manifest(path: str, npz_size: int) -> Optional[Dict]:
-    """Load the sidecar manifest if it matches the npz it describes.
-
-    The stored ``npz_size`` is the consistency check: a store rewritten
-    by an older tool (or a partially copied pair) has a size mismatch
-    and the sidecar is ignored in favour of the archive itself.
-    """
-    try:
-        with open(path + MANIFEST_SUFFIX) as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(manifest, dict):
-        return None
-    if manifest.get("npz_size") != npz_size:
-        return None
-    if manifest.get("kind") not in ("sweep", "blocks", "journal"):
-        return None
-    return manifest
-
-
 def _inspect_entry(path: str) -> Optional[CacheEntry]:
-    """Describe one entry, metadata-only when possible.
+    """Describe one entry from its archive's ``meta`` member alone.
 
-    The sidecar manifest (written alongside every save) answers the
-    listing in one small JSON read; only entries without a consistent
-    sidecar — pre-manifest caches, hand-copied files — fall back to
-    opening the archive (and even then only its ``meta`` member is
-    decompressed, never the time arrays).
+    Only the metadata is decompressed, never the time arrays.
     """
     try:
         stat = os.stat(path)
     except OSError:
         return None  # vanished between listdir and stat; best-effort
-    manifest = _read_manifest(path, stat.st_size)
-    if manifest is not None:
-        try:
-            return CacheEntry(
-                path=path, kind=str(manifest["kind"]),
-                algorithm=str(manifest["algorithm"]),
-                cells=int(manifest["cells"]), trials=int(manifest["trials"]),
-                size_bytes=stat.st_size, mtime=stat.st_mtime,
-            )
-        except (KeyError, TypeError, ValueError):
-            pass  # malformed sidecar: fall through to the archive
     name = os.path.basename(path)
     algorithm = "?"
     parts = name[:-len(".npz")].split("_")
@@ -714,9 +655,7 @@ def _inspect_entry(path: str) -> Optional[CacheEntry]:
     try:
         # Listing reads without the fault seam and never quarantines:
         # it reports what is on disk, broken entries included.
-        record = _parse_archive(
-            path, lambda meta, _: _manifest_record(meta, stat.st_size)
-        )
+        record = _parse_archive(path, lambda meta, _: _manifest_record(meta))
     except (OSError, AttributeError) + _BROKEN:
         return CacheEntry(
             path=path, kind="unreadable", algorithm=algorithm, cells=0,
@@ -759,17 +698,13 @@ def prune_entries(
     """Delete (or, with ``dry_run``, just report) entries older than a cutoff.
 
     ``older_than_days=0`` prunes everything.  Returns the pruned
-    entries.  Crash droppings — stale temp files, old quarantines —
-    are reclaimed alongside (see :func:`clean_stale_files`) unless
-    ``dry_run`` is set.
+    entries.  Droppings that are not entries — stale temp files, old
+    quarantines and sidecars — are :func:`clean_stale_files`' job;
+    ``repro-ants cache prune`` runs both.
     """
-    import time as _time
-
     if older_than_days < 0:
         raise ValueError(f"older_than_days must be >= 0, got {older_than_days}")
-    if not dry_run:
-        clean_stale_files(cache_dir, now=now)
-    cutoff = (now if now is not None else _time.time()) - older_than_days * 86400
+    cutoff = (now if now is not None else time.time()) - older_than_days * 86400
     pruned = []
     for entry in list_entries(cache_dir):
         if entry.mtime <= cutoff:
@@ -778,9 +713,5 @@ def prune_entries(
                     os.unlink(entry.path)
                 except OSError:
                     continue
-                try:
-                    os.unlink(entry.path + MANIFEST_SUFFIX)
-                except OSError:
-                    pass  # no sidecar (pre-manifest entry) is fine
             pruned.append(entry)
     return pruned

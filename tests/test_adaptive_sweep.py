@@ -35,7 +35,7 @@ from repro.sweep import (
 
 
 def _npz_entries(directory) -> int:
-    """Cache entries in a directory (ignoring manifest sidecars)."""
+    """The number of ``.npz`` files in a directory."""
     return sum(1 for name in os.listdir(directory) if name.endswith(".npz"))
 
 

@@ -1,79 +1,43 @@
-"""Tests for statistical estimators (repro.analysis.estimators)."""
+"""Hand-computed cases for the find-time estimators in repro.stats.
+
+The truncated mean and the success rate are read off
+:func:`repro.stats.summarize_times`, the censoring rule every sweep cell
+uses: with a horizon, a trial that never finds (or finds past the
+horizon) is pinned at the horizon and counts as a failure.
+"""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.analysis.estimators import (
-    Welford,
-    mean_with_ci,
-    quantiles,
-    success_rate,
-    truncated_mean,
-    wilson_interval,
-)
-
-
-class TestMeanWithCI:
-    def test_point_estimate(self):
-        mean, (lo, hi) = mean_with_ci([1.0, 2.0, 3.0], seed=0)
-        assert mean == pytest.approx(2.0)
-        assert lo <= mean <= hi
-
-    def test_interval_covers_truth_usually(self):
-        rng = np.random.default_rng(1)
-        covered = 0
-        for i in range(40):
-            data = rng.normal(10, 2, size=60)
-            _, (lo, hi) = mean_with_ci(data, seed=i)
-            covered += lo <= 10 <= hi
-        assert covered >= 32  # ~95% nominal; allow slack
-
-    def test_single_sample(self):
-        mean, (lo, hi) = mean_with_ci([5.0])
-        assert mean == lo == hi == 5.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            mean_with_ci([1.0, math.inf])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            mean_with_ci([])
-
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            mean_with_ci([1.0, 2.0], confidence=1.5)
+from repro.stats import summarize_times, wilson_interval
 
 
 class TestTruncatedMean:
     def test_clips_inf_at_horizon(self):
-        tm = truncated_mean([10.0, math.inf], horizon=100)
+        tm = summarize_times([10.0, math.inf], horizon=100)
         assert tm.mean == pytest.approx(55.0)
         assert tm.censored_fraction == pytest.approx(0.5)
         assert tm.is_lower_bound
 
     def test_no_censoring(self):
-        tm = truncated_mean([1.0, 2.0], horizon=10)
+        tm = summarize_times([1.0, 2.0], horizon=10)
         assert tm.mean == pytest.approx(1.5)
         assert not tm.is_lower_bound
 
     def test_values_beyond_horizon_clipped(self):
-        tm = truncated_mean([5.0, 200.0], horizon=100)
+        tm = summarize_times([5.0, 200.0], horizon=100)
         assert tm.mean == pytest.approx(52.5)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            truncated_mean([1.0], horizon=math.inf)
+        assert tm.censored_fraction == pytest.approx(0.5)
 
 
 class TestSuccessRate:
     def test_counts_finite_within_horizon(self):
-        assert success_rate([1.0, math.inf, 50.0], horizon=10) == pytest.approx(1 / 3)
+        s = summarize_times([1.0, math.inf, 50.0], horizon=10)
+        assert s.success_rate == pytest.approx(1 / 3)
 
     def test_no_horizon_counts_all_finite(self):
-        assert success_rate([1.0, math.inf]) == pytest.approx(0.5)
+        assert summarize_times([1.0, math.inf]).success_rate == pytest.approx(0.5)
 
 
 class TestWilson:
@@ -97,42 +61,3 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
-
-
-class TestQuantiles:
-    def test_median_of_odd(self):
-        assert quantiles([3.0, 1.0, 2.0], (0.5,)) == (2.0,)
-
-    def test_inf_sorts_last(self):
-        qs = quantiles([1.0, 2.0, math.inf], (0.0, 1.0))
-        assert qs[0] == 1.0 and math.isinf(qs[1])
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            quantiles([1.0], (1.2,))
-
-
-class TestWelford:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=500)
-        acc = Welford()
-        acc.extend(data.tolist())
-        assert acc.mean == pytest.approx(float(data.mean()), abs=1e-12)
-        assert acc.variance == pytest.approx(float(data.var(ddof=1)), rel=1e-10)
-        assert acc.count == 500
-
-    def test_rejects_non_finite(self):
-        acc = Welford()
-        with pytest.raises(ValueError):
-            acc.add(math.nan)
-
-    def test_variance_needs_two(self):
-        acc = Welford()
-        acc.add(1.0)
-        with pytest.raises(ValueError):
-            _ = acc.variance
-
-    def test_mean_needs_one(self):
-        with pytest.raises(ValueError):
-            _ = Welford().mean

@@ -1,11 +1,18 @@
 """Tests for the top-level public API (the README quickstart contract)."""
 
+import importlib
 import os
 import re
 
 import numpy as np
+import pytest
 
 import repro
+
+SUBPACKAGES = (
+    "algorithms", "analysis", "checks", "core", "experiments", "faults",
+    "memory", "obs", "sim", "stats", "sweep", "viz",
+)
 
 
 class TestExports:
@@ -25,6 +32,13 @@ class TestExports:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("package", SUBPACKAGES)
+    def test_subpackage_all_names_resolve(self, package):
+        module = importlib.import_module(f"repro.{package}")
+        assert module.__all__
+        for name in module.__all__:
+            assert hasattr(module, name), f"repro.{package}.{name}"
 
     def test_algorithm_classes_exported(self):
         for name in (

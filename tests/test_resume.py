@@ -154,7 +154,7 @@ class TestJournalStore:
         path = journal_path(spec, str(tmp_path))
         save_journal(spec, path, {(8, 1): np.zeros(spec.trials)})
         clear_journal(path)
-        assert not os.path.exists(path)
+        assert os.listdir(tmp_path) == []
 
 
 class TestResumeSemantics:

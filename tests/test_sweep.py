@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -290,7 +291,11 @@ class TestEmptyGrid:
 
 
 class TestManifestSidecars:
-    """Metadata-only ``cache list``: sidecar manifests (see cache.py)."""
+    """One file per entry: ``cache list`` reads each archive's metadata,
+    and listing sidecars left by older versions are ignored and reclaimed.
+    """
+
+    SIDECAR = ".manifest.json"  # the suffix older versions wrote
 
     def _entry(self, tmp_path):
         from repro.sweep import list_entries
@@ -299,51 +304,55 @@ class TestManifestSidecars:
         assert len(entries) == 1
         return entries[0]
 
-    def test_save_writes_consistent_sidecar(self, tmp_path):
-        from repro.sweep.cache import MANIFEST_SUFFIX
+    def _legacy_sidecar(self, tmp_path, age_s):
+        import json
 
-        run_sweep(small_spec(trials=10), cache_dir=str(tmp_path))
         (npz,) = [p for p in tmp_path.iterdir() if p.suffix == ".npz"]
-        sidecar = tmp_path / (npz.name + MANIFEST_SUFFIX)
-        assert sidecar.exists()
+        sidecar = tmp_path / (npz.name + self.SIDECAR)
+        sidecar.write_text(json.dumps({
+            "kind": "sweep", "algorithm": "bogus", "cells": 999,
+            "trials": 999, "npz_size": npz.stat().st_size,
+        }))
+        old = sidecar.stat().st_mtime - age_s
+        os.utime(sidecar, (old, old))
+        return sidecar
+
+    def test_listing_reads_the_archive(self, tmp_path):
+        run_sweep(small_spec(trials=10), cache_dir=str(tmp_path))
+        assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
         entry = self._entry(tmp_path)
         assert entry.kind == "sweep"
         assert entry.algorithm == "nonuniform"
         assert entry.cells == 4
         assert entry.trials == 40
 
-    def test_listing_without_sidecar_falls_back_to_archive(self, tmp_path):
-        from repro.sweep.cache import MANIFEST_SUFFIX
-
-        run_sweep(small_spec(trials=10), cache_dir=str(tmp_path))
-        with_sidecar = self._entry(tmp_path)
-        for sidecar in tmp_path.glob("*" + MANIFEST_SUFFIX):
-            sidecar.unlink()
-        fallback = self._entry(tmp_path)
-        assert fallback == with_sidecar
-
     def test_stale_sidecar_is_ignored(self, tmp_path):
-        import json
-
-        from repro.sweep.cache import MANIFEST_SUFFIX
+        from repro.sweep.cache import clean_stale_files
 
         run_sweep(small_spec(trials=10), cache_dir=str(tmp_path))
         truth = self._entry(tmp_path)
-        (sidecar,) = tmp_path.glob("*" + MANIFEST_SUFFIX)
-        # An npz rewritten by an older tool leaves a size-mismatched
-        # manifest behind; a lying sidecar must lose to the archive.
-        sidecar.write_text(json.dumps({
-            "kind": "sweep", "algorithm": "bogus", "cells": 999,
-            "trials": 999, "npz_size": -1,
-        }))
+        # Even a sidecar that matches the archive's size is not read;
+        # it is reclaimed once stale, and the entry stays.
+        sidecar = self._legacy_sidecar(tmp_path, age_s=0.0)
+        assert self._entry(tmp_path) == truth
+        assert clean_stale_files(str(tmp_path)) == []
+        old = time.time() - 3600.0
+        os.utime(sidecar, (old, old))
+        assert clean_stale_files(str(tmp_path)) == [str(sidecar)]
         assert self._entry(tmp_path) == truth
 
-    def test_prune_removes_sidecars(self, tmp_path):
-        from repro.sweep import prune_entries
+    def test_prune_removes_sidecars(self, tmp_path, capsys):
+        from repro.cli import main
 
         run_sweep(small_spec(trials=10), cache_dir=str(tmp_path))
-        pruned = prune_entries(str(tmp_path), older_than_days=0.0)
-        assert len(pruned) == 1
+        self._legacy_sidecar(tmp_path, age_s=3600.0)
+        assert main([
+            "cache", "prune", "--older-than", "0",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "pruned 1 entries" in out
+        assert "reclaimed 1 " in out
         assert list(tmp_path.iterdir()) == []
 
 

@@ -21,7 +21,9 @@ from scipy import stats
 
 from repro.algorithms.baselines import random_walk_find_times
 from repro.scenarios import ScenarioSpec
-from repro.sim.engine import run_agent
+from repro.algorithms import RandomWalkSearch
+from repro.sim.engine import first_visit_times, run_agent, run_search
+from repro.sim.protocol import StepEngine
 from repro.sim.rng import derive_rng, spawn_seeds
 from repro.sim.walkers import (
     BiasedWalker,
@@ -164,10 +166,35 @@ class TestReproducibility:
             assert np.isfinite(a).any()
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "scenario", [None, ScenarioSpec(detection_prob=0.6, crash_hazard=0.01)]
+    )
+    def test_step_engine_takes_a_pair(self, scenario):
+        """The step engine's entry points accept a ``(tx, ty)`` pair too."""
+        algo = RandomWalkSearch()
+        for world in (World((2, -1)), (2, -1)):
+            runs = [
+                run_search(algo, world, 3, seed, horizon=120, scenario=scenario)
+                for seed in range(6)
+            ]
+            times = StepEngine().find_times(
+                algo, world, 3, 8, seed=57, horizon=120, scenario=scenario
+            )
+            visits = first_visit_times(algo, world, 2, 58, 40)
+            if isinstance(world, World):
+                expected = (runs, times, visits)
+                continue
+            assert any(run.result.found for run in runs)
+            assert runs == expected[0]
+            assert np.array_equal(times, expected[1])
+            assert visits == expected[2]
+
     def test_pair_on_the_source_is_rejected(self):
         for walker in (RandomWalker(), BiasedWalker(0.8), LevyWalker(2.0)):
             with pytest.raises(ValueError, match="source"):
                 walker.find_times((0, 0), 1, 3, 0, horizon=50)
+        with pytest.raises(ValueError, match="source"):
+            run_search(RandomWalkSearch(), (0, 0), 1, 0, horizon=50)
 
     def test_functional_wrapper_matches_method(self):
         world = place_treasure(3, "axis")
