@@ -32,7 +32,6 @@ from .baselines import (
     LevyFlightSearch,
     RandomWalkSearch,
     SingleSpiralSearch,
-    random_walk_find_times,
 )
 from .harmonic import (
     HarmonicSearch,
@@ -68,6 +67,5 @@ __all__ = [
     "UniformSearch",
     "harmonic_normalizing_constant",
     "one_sided_guesses",
-    "random_walk_find_times",
     "sector_find_times",
 ]

@@ -28,17 +28,14 @@ All baselines are step-program algorithms for the exact engine;
 closed-form find times.  The walker baselines additionally have batched
 NumPy twins in :mod:`repro.sim.walkers` (``RandomWalker``,
 ``BiasedWalker``, ``LevyWalker``), which is what the experiments and the
-sweep subsystem run; :func:`random_walk_find_times` survives as a
-deprecated alias onto that engine.
+sweep subsystem run.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.spiral import spiral_hit_time, spiral_steps
 from ..core.walks import diamond_tour, diamond_tour_hit_time, manhattan_path
@@ -51,7 +48,6 @@ __all__ = [
     "RandomWalkSearch",
     "BiasedWalkSearch",
     "LevyFlightSearch",
-    "random_walk_find_times",
 ]
 
 _DIRECTIONS: Tuple[Point, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -179,7 +175,7 @@ class LevyFlightSearch(SearchAlgorithm):
     def step_program(self, rng: np.random.Generator) -> Iterator[Point]:
         x, y = 0, 0
         while True:
-            length = int(stats.zipf.rvs(self.mu, random_state=rng))
+            length = int(rng.zipf(self.mu))
             length = min(length, self.max_segment)
             dx, dy = _DIRECTIONS[int(rng.integers(0, 4))]
             for _ in range(length):
@@ -188,37 +184,3 @@ class LevyFlightSearch(SearchAlgorithm):
 
     def describe(self) -> str:
         return f"Levy flight with exponent mu={self.mu:g}"
-
-
-def random_walk_find_times(
-    world: World,
-    k: int,
-    trials: int,
-    horizon: int,
-    rng: np.random.Generator,
-    chunk: int = 4096,
-) -> np.ndarray:
-    """Deprecated alias for :meth:`repro.sim.walkers.RandomWalker.find_times`.
-
-    Returns a float array of shape ``(trials,)``: the first time any of the
-    ``k`` walkers stands on the treasure, or ``inf`` if none does within
-    ``horizon`` steps.  Simulation is chunked; peak memory is
-    ``O(live walkers * chunk)`` 64-bit entries (the per-chunk offset draw
-    plus the two cumulative-position matrices), not bits.
-
-    .. deprecated:: use :class:`repro.sim.walkers.RandomWalker` directly —
-       the walker engine also covers biased and Lévy walkers and plugs into
-       the sweep subsystem.  For a given ``rng`` and ``chunk`` this alias
-       is bitwise identical to the engine it wraps.
-    """
-    warnings.warn(
-        "random_walk_find_times is deprecated; use "
-        "repro.sim.walkers.RandomWalker().find_times(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..sim.walkers import RandomWalker
-
-    return RandomWalker().find_times(
-        world, k, trials, rng, horizon=horizon, chunk=chunk
-    )

@@ -16,8 +16,9 @@ treasure may never be found — the theorem trades a ``D^delta`` factor of
 
 Sampling ``p(u)`` exactly: the radius ``d(u) = r`` has probability
 ``4r * c / r^(2+delta) = r^-(1+delta) / zeta(1+delta)`` — precisely the
-Zipf/zeta law with exponent ``1 + delta`` — and the cell is uniform on its
-ring.  The normalising constant is ``c = 1 / (4 * zeta(1+delta))``.
+Zipf/zeta law with exponent ``1 + delta``, which ``Generator.zipf`` draws —
+and the cell is uniform on its ring.  The normalising constant is
+``c = 1 / (4 * zeta(1+delta))``, with :func:`repro.core.geometry.zeta`.
 
 :class:`RestartingHarmonicSearch` is the natural Las-Vegas extension
 discussed around Section 6: agents repeat the three-step excursion
@@ -30,10 +31,8 @@ from __future__ import annotations
 from typing import Iterator, Tuple
 
 import numpy as np
-from scipy import stats
-from scipy.special import zeta
 
-from ..core.geometry import ring_cells_from_index_array
+from ..core.geometry import ring_cells_from_index_array, zeta
 from .base import ExcursionAlgorithm, ExcursionFamily
 
 __all__ = [
@@ -52,7 +51,7 @@ def harmonic_normalizing_constant(delta: float) -> float:
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return 1.0 / (4.0 * float(zeta(1.0 + delta)))
+    return 1.0 / (4.0 * zeta(1.0 + delta))
 
 
 class PowerLawRingFamily(ExcursionFamily):
@@ -79,7 +78,7 @@ class PowerLawRingFamily(ExcursionFamily):
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ring radii, ring positions and budgets, before the ring lookup."""
-        radii = stats.zipf.rvs(1.0 + self.delta, size=size, random_state=rng)
+        radii = rng.zipf(1.0 + self.delta, size=size)
         # Clip the astronomical tail (P < 2^-40 per draw for delta >= 0.1):
         # a radius beyond 2^40 cannot hit anything within any budget anyway,
         # and 4 * radius must stay well inside int64 for the ring draw.

@@ -9,8 +9,8 @@ implemented schedules, including all rounding).
 from __future__ import annotations
 
 import math
-from scipy.special import zeta
 
+from ..core.geometry import zeta
 from ..core.schedule import (
     nonuniform_stage_phases,
     phase_max_duration,
@@ -91,10 +91,14 @@ def assertion2_phase_index(k: int) -> int:
 
 
 def zeta_constant(delta: float) -> float:
-    """``zeta(1 + delta)`` — the tail mass of the harmonic distribution."""
+    """``zeta(1 + delta)`` — the tail mass of the harmonic distribution.
+
+    Computed by :func:`repro.core.geometry.zeta`, next to the ring counts
+    it normalises.
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return float(zeta(1.0 + delta))
+    return zeta(1.0 + delta)
 
 
 def harmonic_alpha(eps: float, delta: float) -> float:

@@ -19,6 +19,7 @@ from .geometry import (
     ring_size,
     sample_uniform_ball,
     sample_uniform_ring,
+    zeta,
 )
 from .schedule import (
     PhaseSpec,
@@ -67,4 +68,5 @@ __all__ = [
     "spiral_steps",
     "time_to_cover_radius",
     "uniform_schedule",
+    "zeta",
 ]

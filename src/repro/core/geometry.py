@@ -11,7 +11,9 @@ Cardinalities
 -------------
 
 * ring ``{v : d(v) = r}`` has ``4r`` cells for ``r >= 1`` (1 for ``r = 0``);
-* ball ``B(r)`` has ``2r^2 + 2r + 1`` cells.
+* ball ``B(r)`` has ``2r^2 + 2r + 1`` cells;
+* weighting ring ``r`` by ``r^-(2+delta)`` sums to ``4 * zeta(1+delta)``
+  (:func:`zeta`), the normaliser of the harmonic algorithm's ``p(u)``.
 
 Ring parameterisation
 ---------------------
@@ -55,7 +57,17 @@ __all__ = [
     "sample_uniform_ring",
     "annulus_size",
     "annulus_cells",
+    "zeta",
 ]
+
+# Euler-Maclaurin for the Riemann zeta function: the first _ZETA_TERMS - 1
+# terms summed directly, then the tail integral, the half-term and the
+# corrections B_2j / (2j)! for j = 1..8.
+_ZETA_TERMS = 12
+_ZETA_BERNOULLI = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+    -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
+)
 
 
 def l1_distance(u: Tuple[int, int], v: Tuple[int, int]) -> int:
@@ -87,6 +99,26 @@ def annulus_size(inner: int, outer: int) -> int:
     if inner > outer:
         raise ValueError(f"need inner <= outer, got {inner} > {outer}")
     return ball_size(outer) - ball_size(inner)
+
+
+def zeta(s: float) -> float:
+    """The Riemann zeta function ``sum_{n >= 1} n^-s`` for real ``s > 1``.
+
+    Euler-Maclaurin summation with every term folded by ``math.fsum``;
+    within 1 ULP of the true value on ``s in [1.0001, 6]``.
+    """
+    s = float(s)
+    if not s > 1:
+        raise ValueError(f"zeta needs s > 1, got {s}")
+    n = _ZETA_TERMS
+    terms = [j ** -s for j in range(1, n)]
+    terms += [n ** (1 - s) / (s - 1), 0.5 * n ** -s]
+    rising, power = s, n ** (-s - 1)
+    for j, coefficient in enumerate(_ZETA_BERNOULLI):
+        terms.append(coefficient * rising * power)
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+        power /= n * n
+    return math.fsum(terms)
 
 
 def ball_radius_from_index(n: int) -> int:

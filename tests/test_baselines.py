@@ -11,9 +11,9 @@ from repro.algorithms.baselines import (
     LevyFlightSearch,
     RandomWalkSearch,
     SingleSpiralSearch,
-    random_walk_find_times,
 )
 from repro.sim.engine import run_agent, run_search
+from repro.sim.walkers import RandomWalker
 from repro.sim.world import World, place_treasure
 
 
@@ -79,20 +79,18 @@ class TestRandomWalk:
     def test_often_fails_within_small_horizon(self):
         """Null recurrence bites: many walks miss a distance-10 treasure."""
         world = place_treasure(10, "axis")
-        with pytest.deprecated_call():
-            times = random_walk_find_times(
-                world, k=1, trials=60, horizon=200, rng=np.random.default_rng(6)
-            )
+        times = RandomWalker().find_times(
+            world, 1, 60, np.random.default_rng(6), horizon=200, chunk=4096
+        )
         assert np.mean(~np.isfinite(times)) > 0.5
 
     def test_vectorised_matches_engine_distribution(self):
         """Chunked numpy simulation should agree with step engine on rates."""
         world = place_treasure(2, "axis")
         horizon = 60
-        with pytest.deprecated_call():
-            fast = random_walk_find_times(
-                world, k=1, trials=800, horizon=horizon, rng=np.random.default_rng(7)
-            )
+        fast = RandomWalker().find_times(
+            world, 1, 800, np.random.default_rng(7), horizon=horizon, chunk=4096
+        )
         hits = 0
         runs = 200
         for i in range(runs):
@@ -106,18 +104,21 @@ class TestRandomWalk:
 
     def test_respects_horizon(self):
         world = place_treasure(50, "axis")
-        with pytest.deprecated_call():
-            times = random_walk_find_times(
-                world, k=2, trials=10, horizon=30, rng=np.random.default_rng(8)
-            )
+        times = RandomWalker().find_times(
+            world, 2, 10, np.random.default_rng(8), horizon=30, chunk=4096
+        )
         assert np.all(~np.isfinite(times))  # can't reach distance 50 in 30 steps
 
     def test_rejects_bad_args(self):
         world = place_treasure(3, "axis")
-        with pytest.raises(ValueError), pytest.deprecated_call():
-            random_walk_find_times(world, 0, 1, 10, np.random.default_rng(0))
-        with pytest.raises(ValueError), pytest.deprecated_call():
-            random_walk_find_times(world, 1, 1, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            RandomWalker().find_times(
+                world, 0, 1, np.random.default_rng(0), horizon=10
+            )
+        with pytest.raises(ValueError):
+            RandomWalker().find_times(
+                world, 1, 1, np.random.default_rng(0), horizon=0
+            )
 
 
 class TestBiasedWalk:

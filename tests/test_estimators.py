@@ -46,10 +46,14 @@ class TestWilson:
         assert lo < 0.3 < hi
 
     def test_extremes_stay_in_unit_interval(self):
-        lo, hi = wilson_interval(0, 20)
-        assert lo == 0.0 and hi > 0
-        lo, hi = wilson_interval(20, 20)
-        assert hi == 1.0 and lo < 1
+        # The closed form reaches 0 and 1 only by cancellation, which
+        # leaves a few ULP over for most n and confidence levels.
+        for confidence in (0.9, 0.95, 0.99):
+            for n in range(1, 400):
+                lo, hi = wilson_interval(0, n, confidence)
+                assert lo == 0.0 and hi > 0, (n, confidence)
+                lo, hi = wilson_interval(n, n, confidence)
+                assert hi == 1.0 and lo < 1, (n, confidence)
 
     def test_narrows_with_n(self):
         lo1, hi1 = wilson_interval(5, 10)

@@ -9,8 +9,7 @@ engine is *distributional*, mirroring the excursion-engine validation in
 * KS tests on the finite (finding) portion of the find-time samples;
 * the horizon boundary rule (a find at exactly ``horizon`` is kept);
 * bitwise reproducibility: batch rows vs direct calls, pooled sweeps vs
-  serial sweeps, and the deprecated ``random_walk_find_times`` alias vs
-  the engine it wraps.
+  serial sweeps.
 """
 
 import math
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.algorithms.baselines import random_walk_find_times
 from repro.scenarios import ScenarioSpec
 from repro.algorithms import RandomWalkSearch
 from repro.sim.engine import first_visit_times, run_agent, run_search
@@ -201,19 +199,6 @@ class TestReproducibility:
         a = walker_find_times(RandomWalker(), world, 1, 50, seed=55, horizon=60)
         b = RandomWalker().find_times(world, 1, 50, seed=55, horizon=60)
         assert np.array_equal(a, b)
-
-
-class TestDeprecatedAlias:
-    def test_alias_is_bitwise_identical_and_warns(self):
-        world = place_treasure(3, "axis")
-        with pytest.deprecated_call():
-            legacy = random_walk_find_times(
-                world, 2, 60, 100, np.random.default_rng(61)
-            )
-        modern = RandomWalker().find_times(
-            world, 2, 60, np.random.default_rng(61), horizon=100, chunk=4096
-        )
-        assert np.array_equal(legacy, modern)
 
 
 class TestValidation:
