@@ -209,52 +209,3 @@ def test_bench_executor_sweep_cold(once, bench_info, tmp_path):
     bench_info.update(
         backend="process", workers=2, trials=result.total_trials
     )
-
-
-def test_bench_modelled_remote_dispatch(bench_info):
-    """Remote-dispatch scheduling model: round-trips + result transfer.
-
-    Same sweep, same engine-cost model, three dispatch profiles: the
-    local pool (zero latency), a LAN of workers (cheap round-trips),
-    and a WAN (dear round-trips, thin pipe) — the
-    :class:`VirtualExecutor` ``latency``/``bandwidth`` extensions that
-    model :class:`repro.sweep.RemoteExecutor` hosts.  The arrays must
-    stay bitwise identical across profiles (the cost model may only
-    move the virtual clock), and the deterministic overhead ratios are
-    recorded so a block-sizing change that quietly trades well against
-    a local pool but badly against round-trip-dominated dispatch
-    regresses loudly here before any socket opens.
-    """
-    spec = _spec(max_trials=1024)
-    profiles = {
-        "local": dict(latency=0.0, bandwidth=None),
-        "lan": dict(latency=200.0, bandwidth=1e5),
-        "wan": dict(latency=5000.0, bandwidth=1e3),
-    }
-    makespans = {}
-    baseline = None
-    for name, model in profiles.items():
-        ex = VirtualExecutor(WORKERS, cost_fn=_cost_fn, **model)
-        result = run_sweep(spec, cache=False, executor=ex)
-        cells = [cell.times for cell in result]
-        if baseline is None:
-            baseline = cells
-        else:
-            for a, b in zip(baseline, cells):
-                assert np.array_equal(a, b)
-        makespans[name] = ex.makespan
-    lan_overhead = makespans["lan"] / makespans["local"]
-    wan_overhead = makespans["wan"] / makespans["local"]
-    # Dearer dispatch can only stretch the modelled makespan.
-    assert 1.0 <= lan_overhead <= wan_overhead
-    bench_info.update(
-        backend="virtual-remote",
-        workers=WORKERS,
-        local_makespan=makespans["local"],
-        lan_overhead=lan_overhead,
-        wan_overhead=wan_overhead,
-    )
-    print(
-        f"\nmodelled dispatch overhead, {WORKERS} workers: "
-        f"lan {lan_overhead:.3f}x, wan {wan_overhead:.3f}x"
-    )

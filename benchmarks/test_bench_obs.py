@@ -13,9 +13,9 @@ The PR-9 instrumentation claim, pinned here:
   differencing two noisy wall-clock measurements on a shared CI box.
 
 * **Tracing is determinism-neutral.**  The same spec, traced and
-  untraced, is bitwise identical on all four executor backends (serial,
-  process pool, virtual clock, remote loopback) — tracing is an
-  observer, never a participant.
+  untraced, is bitwise identical on every executor backend (serial,
+  process pool, virtual clock) — tracing is an observer, never a
+  participant.
 """
 
 import time
@@ -25,13 +25,7 @@ import numpy as np
 
 from repro.obs import BUS, MemorySink, tracing, validate_event
 from repro.stats import BudgetPolicy
-from repro.sweep import (
-    LoopbackWorker,
-    RemoteExecutor,
-    SweepSpec,
-    VirtualExecutor,
-    run_sweep,
-)
+from repro.sweep import SweepSpec, VirtualExecutor, run_sweep
 
 SEED = 20120716
 OVERHEAD_BUDGET = 0.02  # the pinned <= 2% disabled-path ceiling
@@ -123,14 +117,6 @@ def test_traced_bitwise_parity_on_all_backends(bench_info, once):
                 results["virtual"] = run_sweep(
                     spec, cache=False, executor=virtual
                 )
-            worker = LoopbackWorker()
-            try:
-                with RemoteExecutor([worker.address]) as remote:
-                    results["remote"] = run_sweep(
-                        spec, cache=False, executor=remote
-                    )
-            finally:
-                worker.stop()
         return results
 
     results = once(all_backends)

@@ -67,7 +67,6 @@ from .stats import (
     summarize_times,
 )
 from .sweep import (
-    RemoteExecutor,
     SweepExecutor,
     SweepSpec,
     make_executor,
@@ -97,7 +96,6 @@ __all__ = [
     "NonUniformSearch",
     "RandomWalkSearch",
     "RandomWalker",
-    "RemoteExecutor",
     "Result",
     "RestartingHarmonicSearch",
     "RhoApproxSearch",

@@ -20,7 +20,7 @@ to catch the (often statistically invisible) consequence:
   construction.
 * **R004 — worker/executor state must not flow into seed derivation or
   hashed spec fields.**  Passing ``workers``/``backend``/pool objects —
-  or, since the remote backend, ``hosts``/``port``/endpoint values — to
+  or ``hosts``/``port``/endpoint values — to
   ``derive_seed``/``derive_rng``/``spawn_seeds`` or into ``SweepSpec``
   field values makes *results* depend on execution *layout* — the exact
   inversion of PR 5's layout-is-spec-only rule, and the way a "2x faster
@@ -98,13 +98,13 @@ _CLOCK_CALLS = frozenset(
 
 #: Identifiers that smell like execution layout (R004): none of these
 #: may appear inside a seed-derivation argument or a SweepSpec field.
-#: The second group covers the remote backend: which hosts a sweep is
-#: sharded across is layout too, and a host list in a spec would fork
-#: the cache per cluster.  The third group covers observability
-#: (``repro.obs``): traces, metrics, and spans describe *how* a run
-#: executed — wall-clock, scheduling, worker identity — and feeding any
-#: of it back into seeds or spec fields would make results depend on
-#: machine speed and load.  The fourth group covers fault tolerance
+#: The second group covers hosts and network endpoints: where a sweep
+#: runs is layout too, and a host list in a spec would fork the cache
+#: per machine, whichever backend reads it.  The third group covers
+#: observability (``repro.obs``): traces, metrics, and spans describe
+#: *how* a run executed — wall-clock, scheduling, worker identity — and
+#: feeding any of it back into seeds or spec fields would make results
+#: depend on machine speed and load.  The fourth group covers fault tolerance
 #: (``repro.faults``): fault plans, retry/backoff state, degradation
 #: tiers, and checkpoint/resume bookkeeping describe what *failed*
 #: during a run — seeding from any of it would fork results between

@@ -40,14 +40,7 @@ allocated trials and the achieved CI half-width.
 ``--workers N`` fans work out to a persistent process pool shared by
 every sweep of the invocation, ``--workers auto`` sizes it to the usable
 CPUs, and ``--backend serial|process`` overrides the automatic choice.
-``--backend remote --hosts a:7077,b:7077`` fans work out to ``repro-ants
-worker`` processes on other hosts instead (DESIGN.md §11)::
-
-    repro-ants worker --port 7077        # on each worker host
-    repro-ants sweep nonuniform --distances 16,32 --ks 1,4 \
-        --backend remote --hosts hostA:7077,hostB:7077
-
-Serial, pooled, and remote runs produce bitwise-identical results.
+Serial and pooled runs produce bitwise-identical results.
 
 ``--trace FILE`` (run + sweep) records a JSONL trace of the sweep
 stack's structured events — spans, counters, gauges (DESIGN.md §12) —
@@ -338,31 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    worker_p = sub.add_parser(
-        "worker",
-        help=(
-            "serve sweep tasks to remote drivers (the --backend remote "
-            "worker process; see DESIGN.md §11)"
-        ),
-    )
-    worker_p.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default loopback; use 0.0.0.0 for LAN)",
-    )
-    worker_p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="port to bind (default 7077; 0 picks an ephemeral port)",
-    )
-    worker_p.add_argument(
-        "--slots",
-        type=int,
-        default=1,
-        help="tasks executed concurrently per driver connection",
-    )
-
     sub.add_parser("list", help="list registered experiments")
     sub.add_parser("demo", help="run a small end-to-end demonstration")
     return parser
@@ -404,22 +372,11 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--backend",
-        choices=("auto", "serial", "process", "remote"),
+        choices=("auto", "serial", "process"),
         default="auto",
         help=(
             "execution backend: 'auto' picks the process pool when "
-            "--workers > 1, 'serial'/'process' force the choice, "
-            "'remote' fans out to repro-ants worker hosts (needs "
-            "--hosts or $REPRO_REMOTE_HOSTS)"
-        ),
-    )
-    group.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOST[:PORT],...",
-        help=(
-            "comma-separated worker endpoints for --backend remote "
-            "(default port 7077)"
+            "--workers > 1, 'serial'/'process' force the choice"
         ),
     )
     parser.add_argument(
@@ -534,7 +491,6 @@ def _cmd_run(
     csv_dir: Optional[str],
     workers=0,
     backend: str = "auto",
-    hosts=None,
     cache: bool = True,
     budget=None,
     progress=None,
@@ -556,14 +512,8 @@ def _cmd_run(
     # One persistent executor serves every sweep of every experiment in
     # this invocation: warm workers carry over from E1 to E11 instead of
     # each sweep paying pool spawn-up.  (The pool itself is lazy — an
-    # all-cache run never forks, and the remote backend only connects
-    # on first submit.)
-    try:
-        executor = make_executor(
-            workers=resolve_workers(workers), backend=backend, hosts=hosts
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    # all-cache run never forks.)
+    executor = make_executor(workers=resolve_workers(workers), backend=backend)
     recorder = (
         tracing(trace_file) if trace_file else contextlib.nullcontext()
     )
@@ -697,14 +647,9 @@ def _cmd_sweep(args) -> int:
         raise SystemExit(str(error))
     _activate_fault_plan(args.fault_plan)
     started = time.perf_counter()
-    try:
-        executor = make_executor(
-            workers=resolve_workers(args.workers),
-            backend=args.backend,
-            hosts=args.hosts,
-        )
-    except ValueError as error:  # e.g. --hosts without --backend remote
-        raise SystemExit(str(error))
+    executor = make_executor(
+        workers=resolve_workers(args.workers), backend=args.backend
+    )
     recorder = (
         tracing(args.trace) if args.trace else contextlib.nullcontext()
     )
@@ -910,50 +855,53 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_worker(args) -> int:
-    from .sweep.remote import DEFAULT_PORT, PROTOCOL_VERSION, serve_worker
-    from .sweep.spec import BLOCK_SCHEDULE_VERSION, SPEC_VERSION
-
-    if args.slots < 1:
-        raise SystemExit(f"--slots expects a count >= 1, got {args.slots}")
-    port = DEFAULT_PORT if args.port is None else args.port
-
-    def ready(host: str, bound_port: int) -> None:
-        # Parseable by drivers launching workers with --port 0.
-        print(
-            f"repro-ants worker listening on {host}:{bound_port} "
-            f"(protocol {PROTOCOL_VERSION}, spec v{SPEC_VERSION}, "
-            f"blocks v{BLOCK_SCHEDULE_VERSION}, slots {args.slots})",
-            flush=True,
-        )
-
-    try:
-        serve_worker(args.host, port, slots=args.slots, ready=ready)
-    except OSError as error:  # port in use, unresolvable bind address, ...
-        raise SystemExit(f"worker failed to bind {args.host}:{port}: {error}")
-    return 0
-
-
 def _cmd_demo() -> int:
+    import math
+
+    import numpy as np
+
     from .algorithms import HarmonicSearch, NonUniformSearch, UniformSearch
     from .analysis.competitiveness import optimal_time
+    from .analysis.theory import harmonic_alpha, harmonic_time_bound
     from .sim.events import simulate_find_times
     from .sim.world import place_treasure
+    from .stats import wilson_interval
 
-    distance, k = 64, 16
+    distance, k, trials, factor = 64, 16, 100, 10.0
+    eps = delta = 0.5
     world = place_treasure(distance, "corner")
-    print(f"Treasure at distance D={distance}; k={k} agents; 100 trials each.")
-    print(f"Optimal benchmark D + D^2/k = {optimal_time(distance, k):.0f}\n")
-    for alg in (NonUniformSearch(k=k), UniformSearch(0.5), HarmonicSearch(0.5)):
-        times = simulate_find_times(alg, world, k, 100, seed=0)
-        import numpy as np
-
-        found = np.isfinite(times)
-        mean = times[found].mean() if found.any() else float("inf")
+    optimal = optimal_time(distance, k)
+    print(f"Treasure at distance D={distance}; k={k} agents; {trials} trials each.")
+    print(f"Optimal benchmark D + D^2/k = {optimal:.0f}")
+    print(
+        f"envelope = the theorem's time bound with its O() constant at 1;\n"
+        f"success = found within {factor:g} x envelope (Wilson 95% interval);\n"
+        f"median over all trials, an unfound trial counting as inf\n"
+    )
+    # Each theorem's envelope, with its O() instantiated at constant 1.
+    rows = (
+        (NonUniformSearch(k=k), optimal),
+        (UniformSearch(eps), optimal * math.log2(k) ** (1.0 + eps)),
+        (HarmonicSearch(delta), harmonic_time_bound(distance, k, delta)),
+    )
+    for alg, envelope in rows:
+        times = simulate_find_times(alg, world, k, trials, seed=0)
+        median = float(np.median(times))
+        hits = int(np.count_nonzero(times <= factor * envelope))
+        lo, hi = wilson_interval(hits, trials)
+        print(alg.describe())
         print(
-            f"{alg.describe():<75} "
-            f"mean={mean:9.1f}  success={found.mean():.2f}"
+            f"  envelope={envelope:.0f}  median={median:.0f} "
+            f"({median / envelope:.1f} x envelope)  "
+            f"success={hits / trials:.2f} [{lo:.2f}, {hi:.2f}]"
         )
+        if isinstance(alg, HarmonicSearch):
+            needed = harmonic_alpha(eps, delta) * distance**delta
+            met = "met" if k > needed else "NOT met: the theorem does not apply"
+            print(
+                f"  premise k > alpha*D^delta: k={k} vs {needed:.0f} "
+                f"(eps={eps:g}), {met}"
+            )
     print("\nSee `repro-ants list` for the full experiment index.")
     return 0
 
@@ -973,7 +921,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.csv,
             workers=args.workers,
             backend=args.backend,
-            hosts=args.hosts,
             cache=not args.no_cache,
             budget=_budget_from_args(args),
             progress=_progress_printer if args.progress else None,
@@ -988,8 +935,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "check":
         return _cmd_check(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -2,7 +2,7 @@
 
 The harness-side mirror of the paper's robustness claim (DESIGN.md §13):
 searchers make progress when peers fail, and the sweep stack must make
-progress when disks, pools, and networks fail.  Three pieces live here:
+progress when disks and pools fail.  Three pieces live here:
 
 * :class:`FaultPlan` / :class:`FaultRule` — a declarative, serialisable
   description of *which* instrumented seams fail, *when*, and *how*.
@@ -16,13 +16,12 @@ progress when disks, pools, and networks fail.  Three pieces live here:
   ``FAULTS.enabled`` read.  Activation comes from the
   ``REPRO_FAULT_PLAN`` environment variable, the ``--fault-plan`` CLI
   flag, or :func:`activate` / :func:`fault_plan` programmatically.
-* :func:`retry_call` / :func:`backoff_delays` — the unified jittered,
-  capped, obs-counted retry/backoff helper adopted by cache lock waits
-  and remote connects.
+* :func:`backoff_delays` — the jittered, capped backoff schedule the
+  cache lock waits on.
 
 Every recoverable fault class is covered by the chaos parity property
 tests (``tests/test_faults.py``): a seeded plan run completes bitwise
-identical to the unfaulted run on all four executor backends.
+identical to the unfaulted run on every executor backend.
 """
 
 from .plan import (
@@ -40,7 +39,7 @@ from .plan import (
     fault_plan,
     load_plan,
 )
-from .retry import backoff_delays, retry_call
+from .retry import backoff_delays
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -57,5 +56,4 @@ __all__ = [
     "fault_plan",
     "load_plan",
     "backoff_delays",
-    "retry_call",
 ]

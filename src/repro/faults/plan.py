@@ -3,7 +3,7 @@
 A :class:`FaultPlan` names instrumented *seams* (``FAULT_SITES``) and
 attaches rules: fire with probability ``p``, skip the first ``after``
 opportunities, fire at most ``times`` times, optionally carry a
-``delay`` (slow links) or a ``mode`` refining *how* the seam fails.
+``mode`` refining *how* the seam fails.
 Rules draw from ``derive_rng(plan.seed, FAULT_STREAM, rule, occurrence)``
 — the plan's own seed, never the spec's — so chaos schedules are exactly
 reproducible and simulation RNG draw order is untouched.  The plan is
@@ -63,10 +63,6 @@ FAULT_SITES = (
     "cache.write",     # cache write fails (mode "crash" orphans the tmp)
     "pool.kill",       # process-pool worker hard-exits mid-task
     "executor.process", # process tier unreachable (degradation chain)
-    "remote.connect",  # connect refused (retried with backoff)
-    "remote.disconnect",  # established worker connection drops mid-task
-    "remote.blackhole",   # worker stops answering heartbeats
-    "remote.slow",     # dispatch pays an injected latency (``delay``)
 )
 
 
@@ -74,9 +70,9 @@ class FaultError(ConnectionError):
     """The exception injected seams raise.
 
     Subclasses :class:`ConnectionError` (itself an :class:`OSError`) so
-    the *real* recovery handlers — cache best-effort ``except OSError``,
-    remote ``except ConnectionError`` resubmission — catch it without
-    any injection-aware code on the recovery paths.
+    the *real* recovery handlers — the cache's best-effort ``except
+    OSError`` — catch it without any injection-aware code on the
+    recovery paths.
     """
 
 
@@ -89,7 +85,6 @@ class FaultRule:
     p: float = 1.0  # per-opportunity firing probability
     after: int = 0  # skip the first N opportunities
     times: Optional[int] = None  # fire at most N times (None = unlimited)
-    delay: float = 0.0  # seconds, for "remote.slow"
 
     def __post_init__(self) -> None:
         if self.site not in FAULT_SITES:
@@ -103,13 +98,11 @@ class FaultRule:
             raise ValueError(f"rule after must be >= 0, got {self.after!r}")
         if self.times is not None and self.times < 0:
             raise ValueError(f"rule times must be >= 0, got {self.times!r}")
-        if self.delay < 0:
-            raise ValueError(f"rule delay must be >= 0, got {self.delay!r}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "site": self.site, "mode": self.mode, "p": self.p,
-            "after": self.after, "times": self.times, "delay": self.delay,
+            "after": self.after, "times": self.times,
         }
 
     @classmethod
@@ -128,7 +121,6 @@ class FaultRule:
                 None if data.get("times") is None
                 else int(data["times"])  # type: ignore[arg-type]
             ),
-            delay=float(data.get("delay", 0.0)),  # type: ignore[arg-type]
         )
 
 

@@ -1,28 +1,21 @@
-"""Unified retry/backoff: jittered, capped, obs-counted.
+"""Backoff for waits that try again: jittered and capped.
 
-One schedule serves every degradation path that waits and tries again —
-cache lock acquisition, remote connect attempts — so backoff behaviour
-is tuned (and observable, via ``retry.attempt`` counters) in exactly one
-place.  The jitter source is the monotonic clock's sub-millisecond
-residue: cheap, free of any RNG stream, and structurally incapable of
-reaching seed derivation (backoff timing is execution layout; rule R004
-keeps the vocabulary out of specs).
+The cache lock polls on this schedule, so backoff behaviour is tuned
+in exactly one place.  The jitter source is the monotonic clock's
+sub-millisecond residue: cheap, free of any RNG stream, and
+structurally incapable of reaching seed derivation (backoff timing is
+execution layout; rule R004 keeps the vocabulary out of specs).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator, Optional, Tuple, Type
+from typing import Iterator
 
-__all__ = ["backoff_delays", "retry_call"]
-
-#: Default schedule: 3 attempts, 50 ms doubling to a 2 s cap.
-DEFAULT_ATTEMPTS = 3
-DEFAULT_BASE_DELAY = 0.05
-DEFAULT_MAX_DELAY = 2.0
+__all__ = ["backoff_delays"]
 
 #: Fraction of each delay randomised away by jitter (de-synchronises
-#: herds of writers polling one lockfile or redialling one host).
+#: herds of writers polling one lockfile).
 _JITTER_FRACTION = 0.25
 
 
@@ -33,9 +26,7 @@ def _jitter(delay: float) -> float:
 
 
 def backoff_delays(
-    attempts: int = DEFAULT_ATTEMPTS,
-    base_delay: float = DEFAULT_BASE_DELAY,
-    max_delay: float = DEFAULT_MAX_DELAY,
+    *, attempts: int, base_delay: float, max_delay: float
 ) -> Iterator[float]:
     """The sleep before each retry: exponential, capped, jittered.
 
@@ -51,37 +42,3 @@ def backoff_delays(
     for _ in range(attempts - 1):
         yield _jitter(min(delay, max_delay))
         delay *= 2.0
-
-
-def retry_call(
-    fn: Callable[[], object],
-    *,
-    site: str,
-    attempts: int = DEFAULT_ATTEMPTS,
-    base_delay: float = DEFAULT_BASE_DELAY,
-    max_delay: float = DEFAULT_MAX_DELAY,
-    retry_on: Tuple[Type[BaseException], ...] = (OSError,),
-    sleep: Callable[[float], None] = time.sleep,
-) -> object:
-    """Call ``fn`` up to ``attempts`` times, backing off between tries.
-
-    Exceptions outside ``retry_on`` propagate immediately; the last
-    retryable failure propagates once the attempt budget is spent.
-    Every retry emits a ``retry.attempt`` counter tagged with ``site``,
-    so ``trace report`` can show where a run spent its patience.
-    """
-    from ..obs import BUS
-
-    delays = backoff_delays(attempts, base_delay, max_delay)
-    attempt = 1
-    while True:
-        try:
-            return fn()
-        except retry_on:
-            delay: Optional[float] = next(delays, None)
-            if delay is None:
-                raise
-            if BUS.enabled:
-                BUS.counter("retry.attempt", site=site, attempt=attempt)
-            sleep(delay)
-            attempt += 1

@@ -5,13 +5,13 @@ process-local event bus (:data:`BUS`) emitting typed, schema-versioned
 events; sinks (JSONL trace files, in-memory collection); a metrics
 registry of counters and histograms; a Chrome-trace exporter; and the
 ``trace report`` aggregation.  Instrumentation is threaded through
-``sweep/runner.py``, ``sweep/executor.py``, ``sweep/remote.py``, and
-``sweep/cache.py`` behind the one-attribute-read ``BUS.enabled`` gate.
+``sweep/runner.py``, ``sweep/executor.py`` and ``sweep/cache.py``
+behind the one-attribute-read ``BUS.enabled`` gate.
 
 Observability is determinism-neutral by construction: events carry
 wall-clock data outward, nothing flows back into seeds, spec hashes, or
 results (rule R004 polices the symbol names; traced-vs-untraced bitwise
-parity is property-tested on all four backends).
+parity is property-tested on every backend).
 """
 
 from .bus import (

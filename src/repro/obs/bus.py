@@ -14,15 +14,15 @@ in ``benchmarks/test_bench_obs.py`` pins this at <= 2% of a quick
 sweep).  The bus is enabled by attaching a sink (``start_tracing`` /
 ``tracing`` / ``attach``); detaching the last sink disables it again.
 
-The bus is **process-local by design**: pool and remote workers hold
-their own (disabled, sink-less) instance and never emit — events would
-otherwise need a cross-process transport whose backpressure could
-perturb scheduling.  Worker-side execution *durations* still reach the
+The bus is **process-local by design**: pool workers hold their own
+(disabled, sink-less) instance and never emit — events would otherwise
+need a cross-process transport whose backpressure could perturb
+scheduling.  Worker-side execution *durations* still reach the
 trace, shipped as plain metadata on result messages and emitted by the
 driver.  Everything observable therefore happens in the driver process,
 and nothing about tracing can change task content, submission order, or
 fold order — the determinism-neutrality argument (DESIGN.md §12),
-property-tested traced-vs-untraced across all four backends.
+property-tested traced-vs-untraced across every backend.
 
 Every emitted event also updates the attached
 :class:`~repro.obs.metrics.MetricsRegistry` (counters count, gauges and

@@ -71,11 +71,9 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "cell.finish": ("counter", (
         "distance", "k", "trials", "new_trials", "source",
     )),
-    # Executor seam (all four backends).
+    # Executor seam (every backend).
     "executor.submit": ("counter", ("ticket", "backend")),
-    "executor.complete": ("counter", (
-        "ticket", "backend", "exec_s", "worker",
-    )),
+    "executor.complete": ("counter", ("ticket", "backend", "exec_s")),
     "executor.steal": ("counter", ("distance", "k", "block")),
     "executor.speculate": ("counter", ("distance", "k", "block")),
     "executor.discard": ("counter", ("distance", "k", "block")),
@@ -89,19 +87,13 @@ EVENT_SCHEMAS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "cache.lock_wait": ("gauge", ("value", "acquired")),
     # Fault tolerance (repro.faults; DESIGN.md §13): injected faults,
     # degraded backend tiers, quarantined cache entries, checkpoint
-    # resume, retry/backoff attempts, stale-temp reclamation.
+    # resume, stale-temp reclamation.
     "fault.inject": ("counter", ("site", "mode", "rule")),
     "fault.degrade": ("counter", ("tier", "fallback", "reason")),
     "cache.quarantine": ("counter", ("kind", "path")),
     "cache.tmp_clean": ("counter", ("removed",)),
     "sweep.resume": ("counter", ("algorithm", "kind", "tasks", "trials")),
-    "retry.attempt": ("counter", ("site", "attempt")),
     "sweep.checkpoint": ("counter", ("algorithm", "kind", "tasks")),
-    # Remote backend (driver side; workers never emit).
-    "remote.dispatch": ("counter", ("ticket", "worker")),
-    "remote.heartbeat": ("gauge", ("value", "worker")),
-    "remote.worker_lost": ("counter", ("worker", "reason", "inflight")),
-    "remote.resubmit": ("counter", ("ticket", "worker", "cause")),
     # Derived summaries emitted at sweep end.
     "worker.utilization": ("gauge", (
         "value", "busy_s", "wall_s", "workers", "backend",

@@ -6,8 +6,8 @@ event stream *and* the rollup), and ``run_sweep`` reads it to compute
 the worker-utilization summary.  ``snapshot()`` is what lands in the
 ``trace.metrics`` footer of a closing JSONL trace.
 
-Thread-safe: the executor callback threads, the remote driver's asyncio
-thread, and the main scheduler all emit concurrently.
+Thread-safe: the process pool's callback threads and the main
+scheduler emit concurrently.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ computes from a trace's records: where the sweep's wall-clock went per
 cell, how busy the workers were, how often the cache answered, and how
 much work stealing/speculation did (and wasted).  Everything is derived
 from the event stream alone — the report never needs the run's results,
-so it works on traces from crashed or remote runs too.
+so it works on traces from crashed runs too.
 """
 
 from __future__ import annotations
@@ -49,13 +49,9 @@ class TraceReport:
     discarded: int = 0
     restarts: int = 0
     resubmits: int = 0
-    remote_dispatches: int = 0
-    remote_workers_lost: int = 0
-    heartbeat_rtt_s: Optional[float] = None
     faults_injected: int = 0
     degrades: int = 0
     quarantines: int = 0
-    retries: int = 0
     checkpoints: int = 0
     resumes: int = 0
 
@@ -84,25 +80,14 @@ class TraceReport:
             f"({self.discarded} discarded), "
             f"{self.restarts} restarts, {self.resubmits} resubmits",
         ]
-        if self.remote_dispatches or self.remote_workers_lost:
-            rtt = (
-                f", heartbeat rtt {1000.0 * self.heartbeat_rtt_s:.1f}ms"
-                if self.heartbeat_rtt_s is not None
-                else ""
-            )
-            lines.append(
-                f"remote: {self.remote_dispatches} dispatches, "
-                f"{self.remote_workers_lost} workers lost{rtt}"
-            )
         if (
             self.faults_injected or self.degrades or self.quarantines
-            or self.retries or self.checkpoints or self.resumes
+            or self.checkpoints or self.resumes
         ):
             lines.append(
                 f"faults: {self.faults_injected} injected, "
                 f"{self.degrades} tier degrades, "
                 f"{self.quarantines} quarantined entries, "
-                f"{self.retries} retries, "
                 f"{self.checkpoints} checkpoints, {self.resumes} resumes"
             )
         lines.append("")
@@ -152,7 +137,6 @@ def build_report(
     backend = "?"
     busy_s = 0.0
     lock_wait_s = 0.0
-    rtt_total, rtt_count = 0.0, 0
     utilization: Optional[float] = None
     util_busy, util_slot = 0.0, 0.0  # Σ busy_s / Σ workers*wall_s
     open_blocks: Dict[object, Tuple[float, Mapping[str, object]]] = {}
@@ -204,11 +188,6 @@ def build_report(
             value = data.get("value")
             if isinstance(value, (int, float)):
                 lock_wait_s += float(value)
-        elif name == "remote.heartbeat":
-            value = data.get("value")
-            if isinstance(value, (int, float)):
-                rtt_total += float(value)
-                rtt_count += 1
         elif name == "worker.utilization":
             value = data.get("value")
             if isinstance(value, (int, float)):
@@ -265,13 +244,9 @@ def build_report(
         discarded=counters.get("executor.discard", 0),
         restarts=counters.get("executor.restart", 0),
         resubmits=counters.get("executor.resubmit", 0),
-        remote_dispatches=counters.get("remote.dispatch", 0),
-        remote_workers_lost=counters.get("remote.worker_lost", 0),
-        heartbeat_rtt_s=(rtt_total / rtt_count) if rtt_count else None,
         faults_injected=counters.get("fault.inject", 0),
         degrades=counters.get("fault.degrade", 0),
         quarantines=counters.get("cache.quarantine", 0),
-        retries=counters.get("retry.attempt", 0),
         checkpoints=counters.get("sweep.checkpoint", 0),
         resumes=counters.get("sweep.resume", 0),
     )

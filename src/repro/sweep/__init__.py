@@ -13,14 +13,10 @@ fast primitive:
   fixed sweeps with batched engine calls per ``k``-group chunk and
   adaptive sweeps with block-granular work stealing, and reports
   per-cell :class:`ProgressEvent`s (see :mod:`repro.sweep.runner`);
-* the execution backends — in-process serial, persistent process pools
-  with shared-memory result transport and crash recovery, and the
-  virtual-clock scheduling model — live in :mod:`repro.sweep.executor`;
-  one :class:`SweepExecutor` can be shared across many sweeps; the
-  distributed backend (:class:`RemoteExecutor` driving ``repro-ants
-  worker`` hosts over TCP, with handshake version checks, heartbeats,
-  and bitwise-invisible crash resubmission) lives in
-  :mod:`repro.sweep.remote`;
+* the execution backends — in-process serial, a persistent process
+  pool with crash recovery, and the virtual-clock scheduling model —
+  live in :mod:`repro.sweep.executor`; one :class:`SweepExecutor` can
+  be shared across many sweeps;
 * the cache — v1 full-matrix entries plus the v2 append-only block
   store — lives in :mod:`repro.sweep.cache`.
 
@@ -52,13 +48,6 @@ from .executor import (
     make_executor,
     resolve_workers,
 )
-from .remote import (
-    LoopbackWorker,
-    RemoteExecutor,
-    RemoteTaskError,
-    parse_hosts,
-    serve_worker,
-)
 from .runner import (
     CellResult,
     ProgressEvent,
@@ -84,11 +73,8 @@ __all__ = [
     "BudgetPolicy",
     "CacheEntry",
     "CellResult",
-    "LoopbackWorker",
     "ProcessExecutor",
     "ProgressEvent",
-    "RemoteExecutor",
-    "RemoteTaskError",
     "SerialExecutor",
     "SweepCell",
     "SweepExecutor",
@@ -109,13 +95,11 @@ __all__ = [
     "load_blocks",
     "load_result",
     "make_executor",
-    "parse_hosts",
     "prune_entries",
     "reference_cell_times",
     "register_algorithm",
     "resolve_workers",
     "run_sweep",
-    "serve_worker",
     "save_blocks",
     "save_result",
     "whole_blocks",

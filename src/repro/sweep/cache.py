@@ -39,7 +39,10 @@ The cache directory resolves, in order, to the ``REPRO_SWEEP_CACHE``
 environment variable or ``~/.cache/repro-ants/sweeps``.  All cache I/O is
 best-effort: a missing, unreadable or stale entry silently falls back to
 recomputation, and writes go through a temp file + atomic rename so that a
-crashed run never leaves a truncated entry behind.  The ``repro-ants
+crashed run never leaves a truncated entry behind.  Block-store merges
+also run under a per-store lockfile (:func:`_store_lock`), since several
+driver processes — parallel experiments, or sweeps on hosts sharing one
+cache directory — can extend the same store.  The ``repro-ants
 cache`` CLI (``list`` / ``prune`` / ``path``) is a thin layer over
 :func:`list_entries` and :func:`prune_entries`.
 """
@@ -361,7 +364,7 @@ def _store_lock(path: str) -> Iterator[bool]:
 
     Creating ``<path>.lock`` with ``O_CREAT | O_EXCL`` is atomic on every
     platform and filesystem the cache targets, including NFS mounts that
-    remote shards share.  The file records ``pid host time`` for
+    several driver processes share.  The file records ``pid host time`` for
     debugging.  Three exits:
 
     * acquired — yields ``True``; the lockfile is removed on exit.
@@ -440,7 +443,7 @@ def append_blocks(
     ``blocks`` is the writer's view: the cells it loaded at sweep start
     plus every cell the executor extended.  The read-merge-write cycle
     runs under the store's lockfile (:func:`_store_lock`), so concurrent
-    writers — parallel experiment processes, remote shards syncing one
+    writers — parallel experiment processes or sweep drivers sharing one
     store — serialise and every writer's cells survive; per cell, the
     longer array wins.  (Blocks are deterministic prefixes of one
     stream, so "longer" strictly supersedes "shorter".)  If the lock

@@ -25,20 +25,11 @@ experiment.  This module owns all three:
   of a real pool with the modelled task durations, which gives
   deterministic, machine-independent regression tests for scheduling
   quality (``benchmarks/test_bench_executor.py`` pins the block-level
-  scheduler's speedup over the old per-cell pool this way).  Its
-  optional ``latency``/``bandwidth`` knobs model remote dispatch, so
-  distributed scheduling policies are benchmarkable offline too.
-* :class:`repro.sweep.remote.RemoteExecutor` (module
-  :mod:`repro.sweep.remote`, selected with ``backend="remote"``) — the
-  same seam stretched across machines: tasks fan out to ``repro-ants
-  worker`` processes over a small TCP protocol, with handshake version
-  checks, heartbeats, and crash/timeout resubmission riding the same
-  determinism argument as the process pool's rebuilds.
+  scheduler's speedup over the old per-cell pool this way).
 
-Results are 1-D or 2-D ``float64`` arrays.  Pool and remote workers run
-every task through :func:`_invoke_task`, which returns ``(result,
-exec_s)``: the process pool pickles that pair back, the remote worker
-frames it.
+Results are 1-D or 2-D ``float64`` arrays.  Pool workers run every task
+through :func:`_invoke_task`, which returns ``(result, exec_s)``, and
+the pool pickles that pair back.
 
 Determinism contract: executors only move arrays; they never change
 them.  Every backend returns, for the same submitted task, the same
@@ -86,9 +77,8 @@ __all__ = [
     "BACKENDS",
 ]
 
-#: Known backend names (``auto`` resolves on the worker count; it never
-#: picks ``remote`` — distributing a sweep is always an explicit ask).
-BACKENDS = ("auto", "serial", "process", "remote")
+#: Known backend names (``auto`` resolves on the worker count).
+BACKENDS = ("auto", "serial", "process")
 
 #: Fault-injection hook for the crash/restart tests: when this variable
 #: names a file holding an integer ``n > 0``, the next task execution in
@@ -147,7 +137,7 @@ def _maybe_crash() -> None:
 def _invoke_task(fn: TaskFn, payload: object) -> Tuple[np.ndarray, float]:
     """Worker-side wrapper: run one task, return ``(result, exec_s)``.
 
-    The target of every pool and remote-worker execution.  ``exec_s`` is
+    The target of every pool-worker execution.  ``exec_s`` is
     the measured execution time: a worker's event bus is disabled by
     design (process-local; DESIGN.md §12), so timing travels back as
     result metadata and the *driver* emits it.
@@ -161,14 +151,14 @@ def _invoke_task(fn: TaskFn, payload: object) -> Tuple[np.ndarray, float]:
 class SweepExecutor:
     """Abstract executor: submit picklable tasks, collect float64 arrays.
 
-    The contract is deliberately tiny — it is the seam future backends
-    (threads, remote shards) plug into:
+    The contract is deliberately tiny — it is the seam any further
+    backend (threads, other hosts) plugs into:
 
     * :meth:`submit` registers ``fn(payload)`` and returns a ticket;
     * :meth:`next_completed` blocks until *some* submitted task is done
       and returns ``(ticket, result)``;
     * :attr:`pending` counts submitted-but-uncollected tasks;
-    * :meth:`close` releases pools and connections.
+    * :meth:`close` releases pools.
 
     ``fn`` must be a module-level function and ``payload`` picklable
     (the serial backends do not care, but tasks must stay portable
@@ -268,34 +258,13 @@ class VirtualExecutor(SweepExecutor):
     by this executor make the same decisions they would against real
     hardware with those durations.  :attr:`makespan` is then a
     deterministic, machine-independent measure of scheduling quality.
-
-    ``latency`` and ``bandwidth`` extend the cost model to remote
-    workers: each task pays a flat ``latency`` (dispatch round-trip) and,
-    when ``bandwidth`` is set, ``result.nbytes / bandwidth`` for the
-    result transfer — so remote-scheduling policies (block sizing vs
-    round-trip overhead) are benchmarkable deterministically before any
-    socket opens.  The defaults (``0.0`` / ``None``) model the local
-    pool and leave existing behaviour bit-for-bit unchanged.
     """
 
     backend = "virtual"
 
-    def __init__(
-        self,
-        workers: int,
-        cost_fn,
-        *,
-        latency: float = 0.0,
-        bandwidth: Optional[float] = None,
-    ) -> None:
+    def __init__(self, workers: int, cost_fn) -> None:
         self.workers = max(1, int(workers))
         self._cost_fn = cost_fn
-        self._latency = float(latency)
-        if self._latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency!r}")
-        self._bandwidth = None if bandwidth is None else float(bandwidth)
-        if self._bandwidth is not None and self._bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
         self._clock = 0.0
         self._free = [0.0] * self.workers
         self._heap: list = []
@@ -308,9 +277,6 @@ class VirtualExecutor(SweepExecutor):
         cost = float(self._cost_fn(fn, payload, result))
         if cost < 0:
             raise ValueError(f"cost_fn returned a negative cost: {cost}")
-        cost += self._latency
-        if self._bandwidth is not None:
-            cost += result.nbytes / self._bandwidth
         worker = min(range(self.workers), key=self._free.__getitem__)
         start = max(self._clock, self._free[worker])
         finish = start + cost
@@ -546,88 +512,30 @@ class ProcessExecutor(SweepExecutor):
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _degrade(tier: str, fallback: str, reason: str) -> None:
-    """Announce one degradation step: a single warning plus one event."""
-    warnings.warn(
-        f"backend tier {tier!r} unavailable ({reason}); "
-        f"degrading to {fallback!r}",
-        RuntimeWarning,
-        stacklevel=4,
-    )
-    if BUS.enabled:
-        BUS.counter("fault.degrade", tier=tier, fallback=fallback, reason=reason)
-
-
-#: Constructor options consumed by the remote tier; the degradation
-#: chain forwards these to RemoteExecutor and the rest to the local
-#: tiers, so one ``make_executor(backend="auto", ...)`` call can carry
-#: knobs for whichever tier ends up serving it.
-_REMOTE_OPTIONS = frozenset({
-    "slots", "connect_timeout", "heartbeat_interval", "heartbeat_misses",
-    "task_timeout", "max_attempts",
-})
-
-
 def make_executor(
     workers: WorkersLike = 0, backend: str = "auto", **options: object
 ) -> SweepExecutor:
     """Build an executor from the ``--workers`` / ``--backend`` knobs.
 
     ``backend="auto"`` resolves down a documented **degradation chain**
-    — remote → process → serial (DESIGN.md §13).  The remote tier is
-    considered only when hosts are configured (the ``hosts`` option or
-    ``REPRO_REMOTE_HOSTS``); it is probed eagerly, and unreachable
-    workers degrade to the process tier with a single
-    ``RuntimeWarning`` and a ``fault.degrade`` event instead of failing
-    the run.  The process tier serves resolved worker counts above one
-    and degrades to serial the same way if the pool cannot be built.
-    Results are backend-independent by the determinism contract, so a
-    degraded run returns bitwise-identical data, just slower.
+    — process → serial (DESIGN.md §13).  The process tier serves
+    resolved worker counts above one; if the pool cannot be built, the
+    run degrades to serial with a single ``RuntimeWarning`` and a
+    ``fault.degrade`` event instead of failing.  Results are
+    backend-independent by the determinism contract, so a degraded run
+    returns bitwise-identical data, just slower.
 
-    Explicit ``"serial"`` / ``"process"`` / ``"remote"`` force the
-    choice and *fail* rather than degrade (``"process"`` with one
-    worker still exercises the full IPC path; ``"remote"`` without
-    reachable hosts raises).  ``workers`` accepts an integer or
-    ``"auto"`` (see :func:`resolve_workers`).  Remaining ``options``
-    are forwarded to the chosen executor class.
+    Explicit ``"serial"`` / ``"process"`` force the choice and *fail*
+    rather than degrade (``"process"`` with one worker still exercises
+    the full IPC path).  ``workers`` accepts an integer or ``"auto"``
+    (see :func:`resolve_workers`).  Remaining ``options`` are forwarded
+    to :class:`ProcessExecutor`.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
         )
     count = resolve_workers(workers)
-    if backend in ("remote", "auto"):
-        from .remote import HOSTS_ENV, RemoteExecutor
-
-        hosts = options.pop("hosts", None) or os.environ.get(HOSTS_ENV)
-        if backend == "remote":
-            if not hosts:
-                raise ValueError(
-                    "remote backend needs hosts: pass hosts=... "
-                    f"(CLI: --hosts) or set {HOSTS_ENV}"
-                )
-            return RemoteExecutor(hosts, **options)  # type: ignore[arg-type]
-        if hosts:
-            remote_options = {
-                k: v for k, v in options.items() if k in _REMOTE_OPTIONS
-            }
-            options = {
-                k: v for k, v in options.items() if k not in _REMOTE_OPTIONS
-            }
-            fallback = "process" if count > 1 else "serial"
-            executor = RemoteExecutor(hosts, **remote_options)  # type: ignore[arg-type]
-            try:
-                # Probe eagerly: the lazy connect would surface an
-                # unreachable fleet as a mid-sweep submit failure,
-                # past the point where degrading is cheap.
-                executor._ensure_started()
-            except RuntimeError as error:
-                executor.close()
-                _degrade("remote", fallback, str(error))
-            else:
-                return executor
-    elif options.pop("hosts", None):
-        raise ValueError("hosts= only applies to backend='remote'")
     if backend == "serial" or (backend == "auto" and count <= 1):
         return SerialExecutor()
     try:
@@ -637,7 +545,17 @@ def make_executor(
     except Exception as error:
         if backend == "process":
             raise
-        _degrade("process", "serial", str(error))
+        warnings.warn(
+            f"backend tier 'process' unavailable ({error}); "
+            f"degrading to 'serial'",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        if BUS.enabled:
+            BUS.counter(
+                "fault.degrade", tier="process", fallback="serial",
+                reason=str(error),
+            )
         return SerialExecutor()
 
 

@@ -4,8 +4,7 @@
 :class:`SweepResult` along one of two paths, selected by the spec's
 ``budget``.  Both paths hand their work units to a pluggable
 :class:`repro.sweep.executor.SweepExecutor` (serial, persistent process
-pool, the distributed :class:`repro.sweep.remote.RemoteExecutor`, or
-the virtual-clock test double) instead of spawning ad-hoc pools;
+pool, or the virtual-clock test double) instead of spawning ad-hoc pools;
 callers can share one executor across many sweeps (see ``executor=``),
 which is what the experiments do.
 

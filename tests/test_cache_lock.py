@@ -3,8 +3,8 @@
 ``append_blocks`` is a read-merge-write cycle; before the store lockfile
 two concurrent writers could interleave those cycles and the later
 ``os.replace`` would silently drop every cell the earlier writer had
-just added.  With remote shards syncing one store this is no longer a
-rare developer-laptop race — it is the steady state.  These tests pin:
+just added.  Parallel experiment processes, or sweep drivers sharing
+one cache directory, hit this race routinely.  These tests pin:
 
 * the lost-update scenario itself (deterministically interleaved via a
   held lock, plus a multiprocess stress test);

@@ -74,8 +74,8 @@ class TestLintRules:
         messages = " ".join(f.message for f in findings)
         assert "derive_seed" in messages
         assert "SweepSpec" in messages
-        # The remote-backend taints: host lists and ports are execution
-        # layout exactly like worker counts.
+        # The host and endpoint taints: host lists and ports are
+        # execution layout exactly like worker counts.
         assert "`hosts`" in messages
         assert "`port`" in messages
         # One finding per tainted name per call site: `executor.workers`

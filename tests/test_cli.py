@@ -27,6 +27,8 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "--port", "7077"])
 
 
 class TestMain:
@@ -53,7 +55,15 @@ class TestMain:
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
-        assert "Treasure" in out and "mean" in out
+        assert "Treasure" in out
+        # Every row reports a median and a Wilson-bounded success rate,
+        # never a mean that one unbounded harmonic excursion can set.
+        assert out.count("median=") == 3 and "mean" not in out
+        assert out.count("success=") == 3
+        # Theorem 5.1's premise k > alpha * D^delta is printed, and not
+        # met at the demo's k = 16 (alpha * 64^0.5 ~ 695).
+        assert "premise k > alpha*D^delta: k=16 vs 695" in out
+        assert "NOT met" in out
 
 
 class TestSweepCommand:
@@ -500,10 +510,11 @@ class TestExecutorFlags:
              "--backend", "process"]
         )
         assert args.backend == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "E1", "--backend", "quantum"]
-            )
+        for retired in ("quantum", "remote"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["run", "E1", "--backend", retired]
+                )
 
     def test_sweep_with_explicit_backend_runs(self, capsys):
         assert (

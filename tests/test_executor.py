@@ -110,6 +110,8 @@ class TestMakeExecutor:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             make_executor(workers=2, backend="quantum")
+        with pytest.raises(ValueError, match="unknown backend 'remote'"):
+            make_executor(workers=2, backend="remote")
 
     def test_ensure_executor_reuses_and_never_closes(self):
         with make_executor(workers=0) as outer:
@@ -554,55 +556,6 @@ class TestWallBudgetScheduling:
         # trial ceiling no matter how long its siblings ran.
         assert all(cell.trials == 64 for cell in result)
         assert len(seen) == 4  # one whole-cell reference task per cell
-
-
-class TestVirtualExecutorLatencyModel:
-    """The remote cost extensions: flat latency + result-transfer time."""
-
-    def test_defaults_leave_costs_unchanged(self):
-        ex = VirtualExecutor(1, cost_fn=lambda fn, payload, result: 2.0)
-        ex.submit(_double, np.ones(1))
-        ex.next_completed()
-        assert ex.makespan == 2.0
-
-    def test_latency_charges_flat_per_task(self):
-        ex = VirtualExecutor(
-            2, cost_fn=lambda fn, payload, result: 1.0, latency=0.5
-        )
-        for value in range(4):
-            ex.submit(_double, np.asarray([float(value)]))
-        while ex.pending:
-            ex.next_completed()
-        assert ex.makespan == 3.0  # two (1 + 0.5) tasks per worker
-
-    def test_bandwidth_charges_result_transfer(self):
-        ex = VirtualExecutor(
-            1, cost_fn=lambda fn, payload, result: 0.0, bandwidth=8.0
-        )
-        ex.submit(_double, np.ones(4))  # result: 4 float64 = 32 bytes
-        ex.next_completed()
-        assert ex.makespan == 4.0
-
-    def test_invalid_model_rejected(self):
-        with pytest.raises(ValueError, match="latency"):
-            VirtualExecutor(1, cost_fn=lambda *a: 1.0, latency=-0.1)
-        with pytest.raises(ValueError, match="bandwidth"):
-            VirtualExecutor(1, cost_fn=lambda *a: 1.0, bandwidth=0.0)
-
-    def test_modelled_remote_sweep_matches_serial(self):
-        # The cost model may only move the virtual clock, never the
-        # arrays: an adaptive sweep under a high-latency remote model
-        # is bitwise the serial sweep.
-        spec = adaptive(max_trials=128)
-        serial = run_sweep(spec, cache=False)
-        modelled = VirtualExecutor(
-            4,
-            cost_fn=lambda fn, payload, result: float(result.size),
-            latency=5.0,
-            bandwidth=1e6,
-        )
-        remote_like = run_sweep(spec, cache=False, executor=modelled)
-        assert_sweeps_equal(serial, remote_like)
 
 
 class TestGiveUp:

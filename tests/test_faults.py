@@ -7,26 +7,21 @@ The load-bearing guarantees:
 * every injected fault raises into a *real* recovery handler, so a
   faulted run of a recoverable plan is bitwise identical to a clean
   run on every backend (chaos parity);
-* unrecoverable situations degrade in tiers (remote → process →
-  serial) with a single warning, or quarantine the offending artifact
-  (corrupt cache entries) instead of wedging the sweep;
+* an unreachable process tier degrades to serial with a single
+  warning, and corrupt cache entries are quarantined, instead of
+  wedging the sweep;
 * crash droppings — orphaned ``.sweep_tmp_*`` files, old quarantines —
   are reclaimed by sweep startup and ``cache prune``;
 * a ``pool.kill`` budget is shared by every worker whatever the start
-  method, and its crash file is gone once the driver exits;
-* ``RemoteExecutor.close()`` stays bounded even while a dial is stuck
-  mid-handshake against an unresponsive host.
+  method, and its crash file is gone once the driver exits.
 """
 
 import json
 import multiprocessing
 import os
-import socket
 import subprocess
 import sys
-import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -41,14 +36,11 @@ from repro.faults import (
     deactivate,
     fault_plan,
     load_plan,
-    retry_call,
 )
 from repro.faults import plan as plan_module
 from repro.obs import MemorySink, tracing
 from repro.stats import BudgetPolicy
 from repro.sweep import (
-    LoopbackWorker,
-    RemoteExecutor,
     SweepSpec,
     VirtualExecutor,
     make_executor,
@@ -68,7 +60,6 @@ from repro.sweep.cache import (
     save_result,
 )
 from repro.sweep.executor import CRASH_ENV, ProcessExecutor, SerialExecutor
-from repro.sweep.runner import _execute_block
 
 SRC_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "src")
@@ -116,6 +107,8 @@ class TestFaultPlanModel:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultRule(site="cache.reed")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultRule(site="remote.connect")
 
     def test_rule_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -124,13 +117,11 @@ class TestFaultPlanModel:
             FaultRule(site="cache.read", after=-1)
         with pytest.raises(ValueError):
             FaultRule(site="cache.read", times=-1)
-        with pytest.raises(ValueError):
-            FaultRule(site="remote.slow", delay=-0.1)
 
     def test_json_roundtrip(self):
         original = plan(
             rule("cache.read", p=0.5, after=2, times=3),
-            rule("remote.slow", delay=0.25),
+            rule("cache.write", mode="crash"),
             seed=7,
         )
         assert FaultPlan.from_json(original.to_json()) == original
@@ -152,6 +143,8 @@ class TestFaultPlanModel:
     def test_unknown_rule_key_rejected(self):
         with pytest.raises(ValueError, match="unknown fault rule keys"):
             FaultRule.from_dict({"site": "cache.read", "when": "always"})
+        with pytest.raises(ValueError, match="unknown fault rule keys"):
+            FaultRule.from_dict({"site": "cache.read", "delay": 0.25})
 
     def test_after_and_times_windows(self):
         with fault_plan(plan(rule("cache.read", after=1, times=1))):
@@ -201,50 +194,6 @@ class TestRetryHelper:
         # Doubling until the cap: later delays never shrink below an
         # earlier one by more than the jitter band.
         assert delays[-1] >= delays[0]
-
-    def test_retry_call_recovers_from_transient_failures(self):
-        calls = []
-        naps = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "ok"
-
-        assert (
-            retry_call(
-                flaky, site="test", attempts=3, base_delay=0.01,
-                sleep=naps.append,
-            )
-            == "ok"
-        )
-        assert len(calls) == 3
-        assert len(naps) == 2
-
-    def test_retry_call_exhausts_and_raises_the_last_error(self):
-        def always_down():
-            raise OSError("still down")
-
-        with pytest.raises(OSError, match="still down"):
-            retry_call(
-                always_down, site="test", attempts=3, base_delay=0.0,
-                sleep=lambda _: None,
-            )
-
-    def test_non_retryable_errors_propagate_immediately(self):
-        calls = []
-
-        def typo():
-            calls.append(1)
-            raise ValueError("not transient")
-
-        with pytest.raises(ValueError):
-            retry_call(
-                typo, site="test", attempts=5, base_delay=0.0,
-                sleep=lambda _: None,
-            )
-        assert len(calls) == 1
 
 
 class TestCacheSeams:
@@ -411,7 +360,7 @@ class TestChaosParity:
         seed=5,
     )
 
-    def test_parity_on_all_four_backends(self, tmp_path):
+    def test_parity_on_every_backend(self, tmp_path):
         spec = small_spec()
         baseline = run_sweep(spec, cache=False)
         run_sweep(spec, cache=True, cache_dir=str(tmp_path))  # seed cache
@@ -430,12 +379,6 @@ class TestChaosParity:
             workers=4, cost_fn=lambda fn, payload, result: 1.0
         ) as virtual:
             assert_sweeps_equal(baseline, faulted(executor=virtual))
-        worker = LoopbackWorker()
-        try:
-            with RemoteExecutor([worker.address]) as remote:
-                assert_sweeps_equal(baseline, faulted(executor=remote))
-        finally:
-            worker.stop()
 
     def test_pool_kill_parity(self):
         spec = small_spec()
@@ -495,41 +438,7 @@ class TestPoolKillBudget:
         assert not list(tmp_path.glob("repro_fault_kill_*"))
 
 
-def _free_port():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
 class TestDegradation:
-    def test_auto_degrades_remote_to_process(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ex = make_executor(
-                workers=2, backend="auto",
-                hosts=[("127.0.0.1", _free_port())],
-                connect_timeout=1.0,
-            )
-        with ex:
-            assert ex.backend == "process"
-        degrade_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(degrade_warnings) == 1
-        assert "degrading" in str(degrade_warnings[0].message)
-
-    def test_auto_degrades_remote_to_serial_when_single_worker(self):
-        with pytest.warns(RuntimeWarning, match="degrading"):
-            ex = make_executor(
-                workers=1, backend="auto",
-                hosts=[("127.0.0.1", _free_port())],
-                connect_timeout=1.0,
-            )
-        with ex:
-            assert isinstance(ex, SerialExecutor)
-
     def test_auto_degrades_process_to_serial_on_injected_failure(self):
         with fault_plan(plan(rule("executor.process", times=1))):
             with pytest.warns(RuntimeWarning, match="degrading"):
@@ -544,175 +453,24 @@ class TestDegradation:
 
     def test_degradation_emits_the_obs_event(self):
         sink = MemorySink()
-        with tracing(sink):
-            with pytest.warns(RuntimeWarning):
-                make_executor(
-                    workers=1, backend="auto",
-                    hosts=[("127.0.0.1", _free_port())],
-                    connect_timeout=1.0,
-                ).close()
+        with fault_plan(plan(rule("executor.process", times=1))):
+            with tracing(sink):
+                with pytest.warns(RuntimeWarning):
+                    make_executor(workers=2, backend="auto").close()
         degrades = [
             r for r in sink.records if r.get("name") == "fault.degrade"
         ]
         assert len(degrades) == 1
-        assert degrades[0]["data"]["tier"] == "remote"
+        assert degrades[0]["data"]["tier"] == "process"
         assert degrades[0]["data"]["fallback"] == "serial"
 
     def test_degraded_run_is_bitwise_identical(self):
         spec = small_spec()
         baseline = run_sweep(spec, cache=False)
-        with pytest.warns(RuntimeWarning, match="degrading"):
-            ex = make_executor(
-                workers=2, backend="auto",
-                hosts=[("127.0.0.1", _free_port())],
-                connect_timeout=1.0,
-            )
+        with fault_plan(plan(rule("executor.process", times=1))):
+            with pytest.warns(RuntimeWarning, match="degrading"):
+                ex = make_executor(workers=2, backend="auto")
         with ex:
+            assert isinstance(ex, SerialExecutor)
             degraded = run_sweep(spec, cache=False, executor=ex)
         assert_sweeps_equal(baseline, degraded)
-
-
-class TestRemoteSeams:
-    def test_connect_refusal_is_retried_to_success(self):
-        spec = small_spec()
-        baseline = run_sweep(spec, cache=False)
-        worker = LoopbackWorker()
-        try:
-            sink = MemorySink()
-            with fault_plan(plan(rule("remote.connect", times=1))):
-                with tracing(sink):
-                    with RemoteExecutor([worker.address]) as remote:
-                        faulted = run_sweep(
-                            spec, cache=False, executor=remote
-                        )
-        finally:
-            worker.stop()
-        assert_sweeps_equal(baseline, faulted)
-        retries = [
-            r for r in sink.records
-            if r.get("name") == "retry.attempt"
-            and r["data"].get("site") == "remote.connect"
-        ]
-        assert retries  # the refused dial was retried, not fatal
-
-    def test_mid_task_disconnect_resubmits_bitwise(self):
-        spec = small_spec()
-        baseline = run_sweep(spec, cache=False)
-        workers = [LoopbackWorker(), LoopbackWorker()]
-        try:
-            with fault_plan(plan(rule("remote.disconnect", times=1))):
-                with RemoteExecutor(
-                    [w.address for w in workers]
-                ) as remote:
-                    faulted = run_sweep(spec, cache=False, executor=remote)
-        finally:
-            for w in workers:
-                w.stop()
-        assert_sweeps_equal(baseline, faulted)
-
-    def test_heartbeat_blackhole_declares_worker_lost(self):
-        spec = small_spec()
-        baseline = run_sweep(spec, cache=False)
-        workers = [LoopbackWorker(), LoopbackWorker()]
-        try:
-            with fault_plan(plan(rule("remote.blackhole", times=1))):
-                with RemoteExecutor(
-                    [w.address for w in workers],
-                    heartbeat_interval=0.1,
-                ) as remote:
-                    faulted = run_sweep(spec, cache=False, executor=remote)
-        finally:
-            for w in workers:
-                w.stop()
-        assert_sweeps_equal(baseline, faulted)
-
-    def test_slow_links_change_nothing_but_time(self):
-        spec = small_spec()
-        baseline = run_sweep(spec, cache=False)
-        worker = LoopbackWorker()
-        try:
-            with fault_plan(
-                plan(rule("remote.slow", times=3, delay=0.05))
-            ):
-                with RemoteExecutor([worker.address]) as remote:
-                    faulted = run_sweep(spec, cache=False, executor=remote)
-        finally:
-            worker.stop()
-        assert_sweeps_equal(baseline, faulted)
-
-
-class _StalledHandshakeServer:
-    """Accepts the dial, reads the hello, and never answers.
-
-    The shape of a blackholed host: without a bounded close, a driver
-    shutting down mid-connect would sit out the entire connect budget.
-    """
-
-    def __init__(self):
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(4)
-        self._server.settimeout(30.0)
-        self.address = self._server.getsockname()[:2]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        try:
-            conn, _ = self._server.accept()
-        except OSError:
-            return
-        with conn:
-            self._stop.wait(timeout=60.0)
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        self._thread.join(timeout=10.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
-
-class TestBoundedClose:
-    def test_close_unblocks_a_submit_stuck_mid_handshake(self):
-        with _StalledHandshakeServer() as stalled:
-            ex = RemoteExecutor([stalled.address], connect_timeout=60.0)
-            errors = []
-
-            def submit():
-                try:
-                    ex.submit(_execute_block, None)
-                except RuntimeError as error:
-                    errors.append(error)
-
-            thread = threading.Thread(target=submit, daemon=True)
-            thread.start()
-            time.sleep(0.5)  # let the dial reach the stalled handshake
-            started = time.perf_counter()
-            ex.close()
-            closed_in = time.perf_counter() - started
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-            assert closed_in < 10.0  # bounded, not the 60s dial budget
-            assert errors and "failed to start" in str(errors[0])
-
-    def test_close_is_idempotent_after_cancel(self):
-        with _StalledHandshakeServer() as stalled:
-            ex = RemoteExecutor([stalled.address], connect_timeout=60.0)
-            threading.Thread(
-                target=lambda: pytest.raises(
-                    RuntimeError, ex._ensure_started
-                ),
-                daemon=True,
-            ).start()
-            time.sleep(0.2)
-            ex.close()
-            ex.close()  # second close is a no-op, not an error

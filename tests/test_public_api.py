@@ -21,7 +21,7 @@ class TestExports:
 
     def test_version_has_a_single_source(self):
         # pyproject reads the package version from repro.__version__
-        # (which the remote worker handshake pins) instead of its own.
+        # instead of keeping its own.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "pyproject.toml")) as handle:
             text = handle.read()

@@ -1,7 +1,8 @@
 """The runtime needs NumPy alone; scipy is only the oracle for what replaced it.
 
-* ``import repro`` loads no ``scipy`` module, and the CLI's harmonic and
-  Lévy sweeps (the two Zipf samplers) run with scipy blocked;
+* ``import repro`` loads no ``scipy`` module (nor ``asyncio``: every
+  executor is local), and the CLI's harmonic and Lévy sweeps (the two
+  Zipf samplers) run with scipy blocked;
 * the NumPy/stdlib replacements agree with scipy: ``Generator.zipf`` is
   bitwise ``stats.zipf.rvs`` (draws and generator state), and
   :func:`repro.core.zeta` is within a few ULP of ``scipy.special.zeta``.
@@ -43,11 +44,12 @@ class TestNoScipyAtRuntime:
     def test_import_loads_no_scipy_module(self):
         proc = run_python(
             "import sys, repro\n"
-            "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))"
+            "for root in ('scipy', 'asyncio'):\n"
+            "    print(sorted(m for m in sys.modules"
+            " if m == root or m.startswith(root + '.')))"
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
     @pytest.mark.parametrize("algorithm", ["harmonic", "levy"])
     def test_cli_sweep_runs_with_scipy_blocked(self, algorithm):

@@ -34,13 +34,7 @@ from repro.sim.rng import derive_seed
 from repro.sim.walkers import walker_find_times_block
 from repro.sim.world import World, WorldSpec, place_treasure
 from repro.stats import BudgetPolicy
-from repro.sweep import (
-    LoopbackWorker,
-    RemoteExecutor,
-    SweepSpec,
-    VirtualExecutor,
-    run_sweep,
-)
+from repro.sweep import SweepSpec, VirtualExecutor, run_sweep
 from repro.sweep.executor import CRASH_ENV
 from repro.sweep.runner import (
     _cell_world,
@@ -461,16 +455,6 @@ class TestPackSweepParity:
         assert_sweeps_equal(
             reference, run_sweep(spec, cache=False, workers=2, backend="process")
         )
-
-    def test_remote_loopback(self, spec, reference):
-        worker = LoopbackWorker()
-        try:
-            with RemoteExecutor([worker.address]) as remote:
-                assert_sweeps_equal(
-                    reference, run_sweep(spec, cache=False, executor=remote)
-                )
-        finally:
-            worker.stop()
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_traced(self, spec, reference, backend):
