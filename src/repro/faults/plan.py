@@ -62,7 +62,7 @@ FAULT_SITES = (
     "cache.corrupt",   # cache archive reads as truncated/corrupt
     "cache.write",     # cache write fails (mode "crash" orphans the tmp)
     "pool.kill",       # process-pool worker hard-exits mid-task
-    "executor.process", # process tier unreachable (degradation chain)
+    "executor.process", # process tier fails in make_executor (auto -> serial)
 )
 
 

@@ -513,23 +513,24 @@ class ProcessExecutor(SweepExecutor):
 
 
 def make_executor(
-    workers: WorkersLike = 0, backend: str = "auto", **options: object
+    workers: WorkersLike = 0, backend: str = "auto"
 ) -> SweepExecutor:
     """Build an executor from the ``--workers`` / ``--backend`` knobs.
 
-    ``backend="auto"`` resolves down a documented **degradation chain**
-    — process → serial (DESIGN.md §13).  The process tier serves
-    resolved worker counts above one; if the pool cannot be built, the
-    run degrades to serial with a single ``RuntimeWarning`` and a
-    ``fault.degrade`` event instead of failing.  Results are
-    backend-independent by the determinism contract, so a degraded run
-    returns bitwise-identical data, just slower.
+    ``backend="auto"`` serves resolved worker counts above one with a
+    process pool and anything else serially (DESIGN.md §13).  Building a
+    :class:`ProcessExecutor` starts no processes — its pool is created
+    on first submit — so the only failure ``"auto"`` degrades from here
+    is an injected ``executor.process`` fault: it falls back to serial
+    with a single ``RuntimeWarning`` and a ``fault.degrade`` event.  A
+    pool that fails to start later fails the sweep once its restart
+    budget is spent.  Results are backend-independent by the
+    determinism contract, so a degraded run is bitwise identical.
 
     Explicit ``"serial"`` / ``"process"`` force the choice and *fail*
     rather than degrade (``"process"`` with one worker still exercises
     the full IPC path).  ``workers`` accepts an integer or ``"auto"``
-    (see :func:`resolve_workers`).  Remaining ``options`` are forwarded
-    to :class:`ProcessExecutor`.
+    (see :func:`resolve_workers`).
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -541,7 +542,7 @@ def make_executor(
     try:
         if FAULTS.enabled and FAULTS.check("executor.process") is not None:
             raise RuntimeError("injected process tier failure")
-        return ProcessExecutor(count, **options)
+        return ProcessExecutor(count)
     except Exception as error:
         if backend == "process":
             raise
